@@ -33,7 +33,7 @@
 //!   stopped being faster", not ±5% jitter).
 
 use lx_bench::{header, load_bench_json, row, BenchCli};
-use lx_kernels::{Epilogue, Isa, KernelBackend, AUTO, PACKED, REFERENCE};
+use lx_kernels::{Epilogue, Gemm, Isa, KernelBackend, AUTO, PACKED, REFERENCE};
 use lx_tensor::rng::randn_vec;
 use std::time::Instant;
 
@@ -46,11 +46,11 @@ enum Variant {
     /// f16-input path (mixed-precision storage, f32 accumulate).
     NnF16,
     /// `Nn` with B stored as per-block-scaled int8 codes: the fused
-    /// dequant-in-pack path (`gemm_q8`).
+    /// dequant-in-pack path (a `BOperand::Q8` B).
     NnQ8,
-    /// `Nn` with B stored as NF4 nibbles (`gemm_q4`).
+    /// `Nn` with B stored as NF4 nibbles (a `BOperand::Q4` B).
     NnQ4,
-    /// `Nt` with B stored 2:4-compacted (`gemm_nt_nm`): the pruned frozen-
+    /// `Nt` with B stored 2:4-compacted (a `BOperand::Nm` B): the pruned frozen-
     /// backbone forward shape, expanded group-by-group inside `pack_b` with
     /// fully-zero K-groups skipped.
     NtNm,
@@ -123,21 +123,21 @@ fn run(be: &dyn KernelBackend, s: &Shape, ops: &Operands, c: &mut [f32]) {
     let (m, k, n) = (s.m, s.k, s.n);
     let (a, b) = (&ops.a[..], &ops.b[..]);
     match s.variant {
-        Variant::Nn => be.gemm(m, k, n, a, k, b, n, c, n, 0.0),
-        Variant::Nt => be.gemm_nt(m, k, n, a, k, b, k, c, n, 0.0),
-        Variant::Tn => be.gemm_tn(m, k, n, a, m, b, n, c, n, 0.0),
-        Variant::NnF16 => be.gemm_f16(m, k, n, a, k, &ops.bits, n, c, n, 0.0),
+        Variant::Nn => be.gemm(&Gemm::nn(m, k, n, a, k, b, n), c, n),
+        Variant::Nt => be.gemm(&Gemm::nt(m, k, n, a, k, b, k), c, n),
+        Variant::Tn => be.gemm(&Gemm::tn(m, k, n, a, m, b, n), c, n),
+        Variant::NnF16 => be.gemm(&Gemm::nn(m, k, n, a, k, &ops.bits[..], n), c, n),
         Variant::NnQ8 => {
             let view = lx_kernels::Q8View::new(&ops.q8.0, &ops.q8.1);
-            be.gemm_q8(m, k, n, a, k, view, n, c, n, 0.0)
+            be.gemm(&Gemm::nn(m, k, n, a, k, view, n), c, n)
         }
         Variant::NnQ4 => {
             let view = lx_kernels::Q4View::new(&ops.q4.0, &ops.q4.1, s.k * s.n);
-            be.gemm_q4(m, k, n, a, k, view, n, c, n, 0.0)
+            be.gemm(&Gemm::nn(m, k, n, a, k, view, n), c, n)
         }
         Variant::NtNm => {
             let view = lx_kernels::NmView::new(&ops.nm.0, &ops.nm.1, s.n, s.k, 2, 4);
-            be.gemm_nt_nm(m, k, n, a, k, view, k, c, n, 0.0)
+            be.gemm(&Gemm::nt(m, k, n, a, k, view, k), c, n)
         }
     }
 }
@@ -317,20 +317,20 @@ fn main() {
         let mut c_seq = vec![0.0f32; m * n];
         let mut c_par = vec![0.0f32; m * n];
         let t_seq = lx_kernels::with_sequential(|| {
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.0);
+            PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_seq, n);
             let mut best = f64::INFINITY;
             for _ in 0..gate_reps {
                 let t0 = Instant::now();
-                PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.0);
+                PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_seq, n);
                 best = best.min(t0.elapsed().as_secs_f64());
             }
             best
         });
-        PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_par, n, 0.0);
+        PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_par, n);
         let mut t_par = f64::INFINITY;
         for _ in 0..gate_reps {
             let t0 = Instant::now();
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_par, n, 0.0);
+            PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_par, n);
             t_par = t_par.min(t0.elapsed().as_secs_f64());
         }
         let identical = c_seq
@@ -372,7 +372,7 @@ fn main() {
     }
 
     // Fused epilogues: gemm + serial epilogue passes (what the model paths
-    // did before fusion) vs one `gemm_ep` call. The fused write-back applies
+    // did before fusion) vs one call with the epilogue in the descriptor. The fused write-back applies
     // the identical scalar ops per element after full accumulation, so the
     // outputs must match bit-for-bit — asserted unconditionally for both
     // rows. The perf floor enforces on the bias+GELU row: the tanh sweep
@@ -395,7 +395,7 @@ fn main() {
             let mut c_unfused = vec![0.0f32; m * n];
             let mut c_fused = vec![0.0f32; m * n];
             let unfused = |c: &mut [f32]| {
-                PACKED.gemm(m, k, n, &a, k, &b, n, c, n, 0.0);
+                PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), c, n);
                 for r in 0..m {
                     for (v, bj) in c[r * n..(r + 1) * n].iter_mut().zip(&bias) {
                         *v += bj;
@@ -413,7 +413,7 @@ fn main() {
                 Epilogue::Bias(&bias)
             };
             let fused = |c: &mut [f32]| {
-                PACKED.gemm_ep(m, k, n, &a, k, &b, n, c, n, 0.0, ep);
+                PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n).epilogue(ep), c, n);
             };
             unfused(&mut c_unfused);
             let mut t_unfused = f64::INFINITY;
@@ -495,7 +495,7 @@ fn main() {
         let mut scratch = vec![0.0f32; n * k];
         let dense_leg = |c: &mut [f32], scratch: &mut [f32]| {
             lx_quant::nm::decode(&vals, &masks, n, k, 2, 4, scratch);
-            PACKED.gemm_nt(m, k, n, &a, k, scratch, k, c, n, 0.0);
+            PACKED.gemm(&Gemm::nt(m, k, n, &a, k, &scratch[..], k), c, n);
         };
         dense_leg(&mut c_dense, &mut scratch);
         let mut t_dense = f64::INFINITY;
@@ -504,11 +504,11 @@ fn main() {
             dense_leg(&mut c_dense, &mut scratch);
             t_dense = t_dense.min(t0.elapsed().as_secs_f64());
         }
-        PACKED.gemm_nt_nm(m, k, n, &a, k, view(), k, &mut c_fused, n, 0.0);
+        PACKED.gemm(&Gemm::nt(m, k, n, &a, k, view(), k), &mut c_fused, n);
         let mut t_fused = f64::INFINITY;
         for _ in 0..gate_reps {
             let t0 = Instant::now();
-            PACKED.gemm_nt_nm(m, k, n, &a, k, view(), k, &mut c_fused, n, 0.0);
+            PACKED.gemm(&Gemm::nt(m, k, n, &a, k, view(), k), &mut c_fused, n);
             t_fused = t_fused.min(t0.elapsed().as_secs_f64());
         }
         let identical = c_dense

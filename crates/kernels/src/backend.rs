@@ -1,16 +1,9 @@
 //! The [`KernelBackend`] trait and the [`Reference`] scalar backend.
 //!
-//! All three GEMM variants take *leading dimensions* (`lda`/`ldb`/`ldc`, in
-//! elements), so a caller can point a kernel at a strided window of a larger
-//! buffer — a block column of a compact activation matrix, a neuron slab of a
-//! weight matrix — without copying. A leading dimension equal to the logical
-//! width is the contiguous case.
-//!
-//! Slice length contract (checked): a matrix view of `r` rows × `c` cols with
-//! leading dimension `ld ≥ c` needs at least `(r−1)·ld + c` elements and at
-//! most `r·ld` (so views carved out of a larger buffer, whose final row stops
-//! at the logical width, are accepted).
+//! A backend is one method over a [`Gemm`] descriptor; the descriptor module
+//! documents the layouts, leading dimensions and the slice length contract.
 
+use crate::descriptor::{BOperand, Gemm};
 use crate::epilogue::{apply_epilogue, Epilogue};
 use lx_parallel::par_rows;
 
@@ -22,476 +15,18 @@ pub(crate) fn row_grain(k: usize, n: usize) -> usize {
     (GRAIN_FLOPS / (k * n).max(1)).max(1)
 }
 
-/// Check a `rows × cols` view with leading dimension `ld`.
-#[track_caller]
-pub(crate) fn check_view(len: usize, rows: usize, cols: usize, ld: usize, what: &str) {
-    assert!(ld >= cols, "{what}: leading dim {ld} < width {cols}");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let need = (rows - 1) * ld + cols;
-    assert!(
-        len >= need,
-        "{what}: {len} elements < {need} needed for {rows}x{cols} (ld {ld})"
-    );
-}
-
 /// A family of GEMM kernels sharing one storage convention (row-major with
-/// leading dimensions). Implementations must tolerate degenerate shapes
-/// (`m`, `k` or `n` of 0) and must scale `C` by `beta` exactly once.
+/// leading dimensions, see [`Gemm`]). Implementations must tolerate
+/// degenerate shapes (`m`, `k` or `n` of 0), must scale `C` by `beta` exactly
+/// once, and must apply the epilogue after the complete accumulation.
 /// `beta == 0.0` means *overwrite*: prior contents of `C` — including NaN —
 /// must not leak into the result.
-#[allow(clippy::too_many_arguments)]
 pub trait KernelBackend: Sync {
     /// Short name for dispatch logs and benches.
     fn name(&self) -> &'static str;
 
-    /// `C[m,n] = A[m,k] · B[k,n] + beta·C`.
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    );
-
-    /// `C[m,n] = A[m,k] · B[n,k]ᵀ + beta·C` — B stored row-major as `n×k`.
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    );
-
-    /// `C[m,n] = A[k,m]ᵀ · B[k,n] + beta·C` — A stored row-major as `k×m`.
-    /// This is the gradient-of-weights shape (`dW = Xᵀ·dY`).
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    );
-
-    /// [`gemm`](Self::gemm) with **B stored as f16 bits** (`k×n` row-major).
-    ///
-    /// Mixed-precision contract: each B element is decoded to f32 (an exact
-    /// conversion) and every multiply and accumulation runs in f32, so the
-    /// result matches decoding B up front and calling the f32 variant.
-    /// Backends fuse the decode into their load/pack stage; this default
-    /// materialises an f32 copy of B and is meant only for backends without
-    /// a fused path.
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let mut bf = vec![0.0f32; b.len()];
-        crate::half::decode_slice(b, &mut bf);
-        self.gemm(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with **B stored as f16 bits** (`n×k`
-    /// row-major). Same mixed-precision contract as
-    /// [`gemm_f16`](Self::gemm_f16).
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let mut bf = vec![0.0f32; b.len()];
-        crate::half::decode_slice(b, &mut bf);
-        self.gemm_nt(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm`](Self::gemm) with **B stored block-quantized int8** (`k×n`
-    /// row-major element space; the view carries codes and per-block
-    /// scales). Mixed-precision contract as [`gemm_f16`](Self::gemm_f16):
-    /// each element dequantizes to f32 (`code · scale`, exact) and all
-    /// arithmetic runs in f32, so the result matches dequantizing B up front
-    /// and calling the f32 variant. Backends fuse the dequant into their
-    /// load/pack stage; this default materialises f32 B.
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_q8(b);
-        self.gemm(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with **B stored block-quantized int8**
-    /// (`n×k` row-major element space).
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_q8(b);
-        self.gemm_nt(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm`](Self::gemm) with **B stored NF4** (4-bit codebook codes,
-    /// `k×n` row-major element space). Same contract as
-    /// [`gemm_q8`](Self::gemm_q8) with dequant `codebook[code] · scale`.
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_q4(b);
-        self.gemm(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with **B stored NF4** (`n×k` row-major
-    /// element space).
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_q4(b);
-        self.gemm_nt(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm`](Self::gemm) with **B stored N:M structured-sparse** (`k×n`
-    /// row-major element space; the view carries compacted values plus group
-    /// bitmasks). Kept values decode bit-exactly and pruned positions decode
-    /// to exact `0.0`, so — unlike the quantized arms — the decode is
-    /// *lossless*: the result must be bit-identical to decoding B up front
-    /// and calling the f32 variant with the same backend. Backends fuse the
-    /// group expansion into their load/pack stage (and may skip all-zero
-    /// groups entirely); this default materialises f32 B.
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_nm(b);
-        self.gemm(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with **B stored N:M structured-sparse**
-    /// (`n×k` row-major element space) — the frozen-backbone forward shape:
-    /// each output neuron's weight row is N:M sparse along `k`.
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        let bf = materialize_nm(b);
-        self.gemm_nt(m, k, n, a, lda, &bf, ldb, c, ldc, beta)
-    }
-
-    // ---- Epilogue-fused entry points -----------------------------------
-    //
-    // Every forward-shape GEMM variant has an `*_ep` twin taking an
-    // [`Epilogue`] that is applied after the complete accumulation. The
-    // defaults below run the plain GEMM followed by a standalone epilogue
-    // pass — the correctness baseline; backends with a fused write-back
-    // (Packed applies the epilogue to each hot register tile, Reference to
-    // each finished row) override them. `gemm_tn` has no `_ep` twin: it is
-    // the gradient-of-weights shape (`dW = Xᵀ·dY`), which never takes a bias
-    // or activation.
-
-    /// [`gemm`](Self::gemm) followed by `ep` applied to every element of the
-    /// `m×n` output (bit-identical to the unfused two-pass composition).
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with a fused epilogue.
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_f16`](Self::gemm_f16) with a fused epilogue.
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_f16(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nt_f16`](Self::gemm_nt_f16) with a fused epilogue.
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nt_f16(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_q8`](Self::gemm_q8) with a fused epilogue.
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_q8(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nt_q8`](Self::gemm_nt_q8) with a fused epilogue.
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nt_q8(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_q4`](Self::gemm_q4) with a fused epilogue.
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_q4(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nt_q4`](Self::gemm_nt_q4) with a fused epilogue.
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nt_q4(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nm`](Self::gemm_nm) with a fused epilogue.
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nm(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-
-    /// [`gemm_nt_nm`](Self::gemm_nt_nm) with a fused epilogue.
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.gemm_nt_nm(m, k, n, a, lda, b, ldb, c, ldc, beta);
-        apply_epilogue(c, m, n, ldc, ep);
-    }
-}
-
-fn materialize_q8(b: lx_quant::Q8View<'_>) -> Vec<f32> {
-    let mut bf = vec![0.0f32; b.len()];
-    for (i, o) in bf.iter_mut().enumerate() {
-        *o = b.get(i);
-    }
-    bf
-}
-
-fn materialize_q4(b: lx_quant::Q4View<'_>) -> Vec<f32> {
-    let mut bf = vec![0.0f32; b.len()];
-    for (i, o) in bf.iter_mut().enumerate() {
-        *o = b.get(i);
-    }
-    bf
-}
-
-fn materialize_nm(b: lx_quant::NmView<'_>) -> Vec<f32> {
-    let mut bf = vec![0.0f32; b.len()];
-    let cols = b.cols();
-    for (r, row) in bf.chunks_mut(cols.max(1)).enumerate() {
-        b.decode_row_into(r, row);
-    }
-    bf
+    /// Run `g`, writing its `m×n` result into `c` (leading dimension `ldc`).
+    fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize);
 }
 
 /// `C *= beta` sweep (the whole op when `k == 0`; the up-front beta pass of
@@ -555,6 +90,12 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 /// small-shape arm of the dispatcher. `i-k-j` order with an A-element
 /// broadcast against a contiguous B row, which LLVM auto-vectorises well;
 /// rows of C split across the pool with a FLOP-based grain.
+///
+/// A reduced-storage B is decoded on load, one row at a time, into the
+/// k-outer loops of `gemm_decode_b`/`gemm_nt_decode_b`: per-element
+/// accumulation order is identical to the f32 loops, so results match the
+/// decode-up-front path bit for bit, and the full f32 B is never
+/// materialised. Their epilogue is a standalone pass after the product.
 pub struct Reference;
 
 impl KernelBackend for Reference {
@@ -562,416 +103,160 @@ impl KernelBackend for Reference {
         "reference"
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    /// Fused epilogue: applied to each C row right after the row's full k
-    /// accumulation, inside the same worker task — same element order as the
-    /// unfused pass, so results are bit-identical.
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm: A");
-        check_view(b.len(), k, n, ldb, "gemm: B");
-        check_view(c.len(), m, n, ldc, "gemm: C");
-        if m == 0 || n == 0 {
-            return;
-        }
-        ep.check(n);
-        if k == 0 {
-            scale_only(c, m, n, ldc, beta);
-            return apply_epilogue(c, m, n, ldc, ep);
-        }
-        par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
-            for i in rows.clone() {
-                let local = (i - rows.start) * ldc;
-                let c_row = &mut chunk[local..local + n];
-                scale_row(c_row, beta);
-                let a_row = &a[i * lda..i * lda + k];
-                for (l, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[l * ldb..l * ldb + n];
-                    axpy_row(c_row, av, b_row);
+    fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
+        g.check(c.len(), ldc);
+        let Gemm {
+            m,
+            k,
+            n,
+            a,
+            lda,
+            ldb,
+            beta,
+            ep,
+            ..
+        } = *g;
+        match (g.b, g.a_trans, g.b_trans) {
+            (BOperand::F32(b), false, false) => nn(m, k, n, a, lda, b, ldb, c, ldc, beta, ep),
+            (BOperand::F32(b), false, true) => nt(m, k, n, a, lda, b, ldb, c, ldc, beta, ep),
+            (BOperand::F32(b), true, _) => tn(m, k, n, a, lda, b, ldb, c, ldc, beta),
+            (b, _, b_trans) => {
+                let decode = |row: usize, out: &mut [f32]| b.decode_row(ldb, row, out);
+                if b_trans {
+                    gemm_nt_decode_b(m, k, n, a, lda, decode, c, ldc, beta);
+                } else {
+                    gemm_decode_b(m, k, n, a, lda, decode, c, ldc, beta);
                 }
-                ep.apply_tile(c_row, n, 1, n, 0);
+                apply_epilogue(c, m, n, ldc, ep);
             }
-        });
+        }
     }
+}
 
-    /// Fused epilogue for the `nt` variant; see [`gemm_ep`](Self::gemm_ep).
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt: C");
-        if m == 0 || n == 0 {
-            return;
-        }
-        ep.check(n);
-        if k == 0 {
-            scale_only(c, m, n, ldc, beta);
-            return apply_epilogue(c, m, n, ldc, ep);
-        }
-        par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
-            for i in rows.clone() {
-                let local = (i - rows.start) * ldc;
-                let c_row = &mut chunk[local..local + n];
-                let a_row = &a[i * lda..i * lda + k];
-                for (j, cv) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * ldb..j * ldb + k];
-                    let dot = dot_unrolled(a_row, b_row);
-                    *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
+/// `nn` loops. The epilogue is applied to each C row right after the row's
+/// full k accumulation, inside the same worker task — same element order as
+/// the unfused pass, so results are bit-identical.
+#[allow(clippy::too_many_arguments)]
+fn nn(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    beta: f32,
+    ep: Epilogue<'_>,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    ep.check(n);
+    if k == 0 {
+        scale_only(c, m, n, ldc, beta);
+        return apply_epilogue(c, m, n, ldc, ep);
+    }
+    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+        for i in rows.clone() {
+            let local = (i - rows.start) * ldc;
+            let c_row = &mut chunk[local..local + n];
+            scale_row(c_row, beta);
+            let a_row = &a[i * lda..i * lda + k];
+            for (l, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
                 }
-                ep.apply_tile(c_row, n, 1, n, 0);
-            }
-        });
-    }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), k, m, lda, "gemm_tn: A");
-        check_view(b.len(), k, n, ldb, "gemm_tn: B");
-        check_view(c.len(), m, n, ldc, "gemm_tn: C");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            return scale_only(c, m, n, ldc, beta);
-        }
-        par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
-            for i in rows.clone() {
-                let local = (i - rows.start) * ldc;
-                scale_row(&mut chunk[local..local + n], beta);
-            }
-            for l in 0..k {
                 let b_row = &b[l * ldb..l * ldb + n];
-                for i in rows.clone() {
-                    let av = a[l * lda + i];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let local = (i - rows.start) * ldc;
-                    axpy_row(&mut chunk[local..local + n], av, b_row);
-                }
+                axpy_row(c_row, av, b_row);
             }
-        });
-    }
+            ep.apply_tile(c_row, n, 1, n, 0);
+        }
+    });
+}
 
-    /// On-load decode: one B row is decoded to an f32 scratch per k-step and
-    /// streamed against every row of the chunk (k-outer loop order), so the
-    /// full f32 B is never materialised. Per-element accumulation order is
-    /// identical to the f32 [`gemm`](KernelBackend::gemm), so results match
-    /// the decode-up-front path bit for bit.
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_f16: A");
-        check_view(b.len(), k, n, ldb, "gemm_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_f16: C");
-        if m == 0 || n == 0 {
-            return;
+/// `nt` loops (dot products against B rows); fused epilogue as in [`nn`].
+#[allow(clippy::too_many_arguments)]
+fn nt(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    beta: f32,
+    ep: Epilogue<'_>,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    ep.check(n);
+    if k == 0 {
+        scale_only(c, m, n, ldc, beta);
+        return apply_epilogue(c, m, n, ldc, ep);
+    }
+    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+        for i in rows.clone() {
+            let local = (i - rows.start) * ldc;
+            let c_row = &mut chunk[local..local + n];
+            let a_row = &a[i * lda..i * lda + k];
+            for (j, cv) in c_row.iter_mut().enumerate() {
+                let b_row = &b[j * ldb..j * ldb + k];
+                let dot = dot_unrolled(a_row, b_row);
+                *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
+            }
+            ep.apply_tile(c_row, n, 1, n, 0);
         }
-        if k == 0 {
-            return scale_only(c, m, n, ldc, beta);
+    });
+}
+
+/// `tn` loops (k-outer, A read down its columns).
+#[allow(clippy::too_many_arguments)]
+fn tn(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    beta: f32,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        return scale_only(c, m, n, ldc, beta);
+    }
+    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+        for i in rows.clone() {
+            let local = (i - rows.start) * ldc;
+            scale_row(&mut chunk[local..local + n], beta);
         }
-        par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+        for l in 0..k {
+            let b_row = &b[l * ldb..l * ldb + n];
             for i in rows.clone() {
+                let av = a[l * lda + i];
+                if av == 0.0 {
+                    continue;
+                }
                 let local = (i - rows.start) * ldc;
-                scale_row(&mut chunk[local..local + n], beta);
-            }
-            let mut b_row = vec![0.0f32; n];
-            for l in 0..k {
-                crate::half::decode_slice(&b[l * ldb..l * ldb + n], &mut b_row);
-                for i in rows.clone() {
-                    let av = a[i * lda + l];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let local = (i - rows.start) * ldc;
-                    axpy_row(&mut chunk[local..local + n], av, &b_row);
-                }
-            }
-        });
-    }
-
-    /// On-load decode for the `nt` variant: one `k`-long B row is decoded per
-    /// output column and dotted against every A row of the chunk.
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_f16: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_f16: C");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            return scale_only(c, m, n, ldc, beta);
-        }
-        par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
-            let mut b_row = vec![0.0f32; k];
-            for j in 0..n {
-                crate::half::decode_slice(&b[j * ldb..j * ldb + k], &mut b_row);
-                for i in rows.clone() {
-                    let a_row = &a[i * lda..i * lda + k];
-                    let dot = dot_unrolled(a_row, &b_row);
-                    let cv = &mut chunk[(i - rows.start) * ldc + j];
-                    *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
-                }
-            }
-        });
-    }
-
-    /// On-load dequant (`gemm_decode_b`): one B row per k-step, same
-    /// accumulation order as the f32 [`gemm`](KernelBackend::gemm), so
-    /// results match the dequant-up-front path bit for bit.
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q8: A");
-        check_view(b.len(), k, n, ldb, "gemm_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_q8: C");
-        gemm_decode_b(m, k, n, a, lda, decode_row(b, ldb), c, ldc, beta);
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q8: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q8: C");
-        gemm_nt_decode_b(m, k, n, a, lda, decode_row(b, ldb), c, ldc, beta);
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q4: A");
-        check_view(b.len(), k, n, ldb, "gemm_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_q4: C");
-        gemm_decode_b(m, k, n, a, lda, decode_row4(b, ldb), c, ldc, beta);
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q4: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q4: C");
-        gemm_nt_decode_b(m, k, n, a, lda, decode_row4(b, ldb), c, ldc, beta);
-    }
-
-    /// On-load N:M expansion: one B row decoded to scratch per k-step, same
-    /// accumulation order as the f32 [`gemm`](KernelBackend::gemm), so
-    /// results match the decode-up-front path bit for bit — the differential
-    /// oracle the packed zero-group-skipping arm is checked against.
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nm: A");
-        check_view(b.len(), k, n, ldb, "gemm_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nm: C");
-        gemm_decode_b(m, k, n, a, lda, decode_row_nm(b, ldb), c, ldc, beta);
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_nm: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_nm: C");
-        gemm_nt_decode_b(m, k, n, a, lda, decode_row_nm(b, ldb), c, ldc, beta);
-    }
-}
-
-/// Row decoder for an int8 view under `ldb` striding: fills `out` with the
-/// dequantized elements `row·ldb .. row·ldb + out.len()`.
-fn decode_row(b: lx_quant::Q8View<'_>, ldb: usize) -> impl Fn(usize, &mut [f32]) + Sync + '_ {
-    move |row, out| {
-        let base = row * ldb;
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = b.get(base + j);
-        }
-    }
-}
-
-/// NF4 twin of [`decode_row`].
-fn decode_row4(b: lx_quant::Q4View<'_>, ldb: usize) -> impl Fn(usize, &mut [f32]) + Sync + '_ {
-    move |row, out| {
-        let base = row * ldb;
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = b.get(base + j);
-        }
-    }
-}
-
-/// N:M twin of [`decode_row`]. When the row window spans the view's full
-/// storage rows (`ldb == cols` and the window starts at column 0), the
-/// group-walking row decode is used; any other striding falls back to the
-/// elementwise flat-index path. Both are bit-identical by the codec's
-/// windowed-decode contract.
-fn decode_row_nm(b: lx_quant::NmView<'_>, ldb: usize) -> impl Fn(usize, &mut [f32]) + Sync + '_ {
-    move |row, out| {
-        if ldb == b.cols() && out.len() == b.cols() {
-            b.decode_row_into(row, out);
-        } else {
-            let base = row * ldb;
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = b.get(base + j);
+                axpy_row(&mut chunk[local..local + n], av, b_row);
             }
         }
-    }
+    });
 }
 
-/// The k-outer on-load-decode loop shared by the quantized Reference paths:
-/// one `n`-long B row decoded to scratch per k-step and streamed against
-/// every A row of the chunk, never materialising the full f32 B. Per-element
-/// accumulation order is identical to the f32 `Reference::gemm`.
+/// The k-outer on-load-decode loop for a reduced-storage B: one `n`-long B
+/// row decoded to scratch per k-step and streamed against every A row of the
+/// chunk, never materialising the full f32 B. Per-element accumulation order
+/// is identical to [`nn`].
 #[allow(clippy::too_many_arguments)]
 fn gemm_decode_b<D: Fn(usize, &mut [f32]) + Sync>(
     m: usize,

@@ -18,7 +18,7 @@
 //! probe — both without synchronisation on the hot path.
 
 use crate::backend::{KernelBackend, Reference};
-use crate::epilogue::Epilogue;
+use crate::descriptor::{BOperand, Gemm};
 use crate::isa::Isa;
 use crate::observe::Observed;
 use crate::packed::{Packed, NR};
@@ -149,350 +149,8 @@ impl KernelBackend for Auto {
         "auto"
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_tn(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
+    fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
+        pick(g.m, g.k, g.n).gemm(g, c, ldc)
     }
 }
 
@@ -544,11 +202,11 @@ pub fn backend_by_name(name: &str) -> Option<&'static dyn KernelBackend> {
 /// [`KernelPolicy::min_flops_packed`].
 ///
 /// The probe walks a size ladder spanning the tiny→medium shape classes and
-/// measures **both** forward variants (`nn` and `nt`), taking the more
-/// conservative of the two crossovers. It runs under the live configuration —
-/// the [`active_isa`](crate::active_isa) microkernel arm and the current
-/// `LX_THREADS` pool width — which is exactly why the persisted policy
-/// (below) is keyed by `(isa, threads)`.
+/// times a list of forward descriptors (`nn`, `nt`, and `nt` on a 2:4 B),
+/// taking the most conservative of their crossovers. It runs under the live
+/// configuration — the [`active_isa`](crate::active_isa) microkernel arm and
+/// the current `LX_THREADS` pool width — which is exactly why the persisted
+/// policy (below) is keyed by `(isa, threads)`.
 ///
 /// Persistence: when `LX_KERNEL_POLICY=<path>` is set, a policy previously
 /// saved there is loaded instead of re-probing **iff** its `(isa, threads)`
@@ -605,28 +263,29 @@ pub fn autotune() -> KernelPolicy {
             // must hold for it too before the threshold is lowered.
             let (nm_vals, nm_masks) = lx_quant::nm::encode(&b, s, s, 2, 4);
             let nm = lx_quant::NmView::new(&nm_vals, &nm_masks, s, s, 2, 4);
-            let mut c = vec![0.0f32; s * s];
-            let time = |backend: &dyn KernelBackend, c: &mut [f32], variant: u8| {
-                let run = |c: &mut [f32]| match variant {
-                    0 => backend.gemm(s, s, s, &a, s, &b, s, c, s, 0.0),
-                    1 => backend.gemm_nt(s, s, s, &a, s, &b, s, c, s, 0.0),
-                    _ => backend.gemm_nt_nm(s, s, s, &a, s, nm, s, c, s, 0.0),
-                };
-                run(c); // warm
-                let t0 = std::time::Instant::now();
-                for _ in 0..3 {
-                    run(c);
-                }
-                t0.elapsed()
-            };
             // Packed must win every probed forward shape at this size: the
             // nn, nt, and nt-nm crossovers differ (the nt reference is a
             // dot-product loop with no packing to amortise; the nm reference
             // decodes rows on load), and dispatch has one threshold.
-            let wins_nn = time(&PACKED, &mut c, 0) <= time(&REFERENCE, &mut c, 0);
-            let wins_nt = time(&PACKED, &mut c, 1) <= time(&REFERENCE, &mut c, 1);
-            let wins_nm = time(&PACKED, &mut c, 2) <= time(&REFERENCE, &mut c, 2);
-            if wins_nn && wins_nt && wins_nm {
+            let probes = [
+                Gemm::nn(s, s, s, &a, s, &b[..], s),
+                Gemm::nt(s, s, s, &a, s, &b[..], s),
+                Gemm::nt(s, s, s, &a, s, nm, s),
+            ];
+            let mut c = vec![0.0f32; s * s];
+            let mut time = |backend: &dyn KernelBackend, g: &Gemm<'_>| {
+                backend.gemm(g, &mut c, s); // warm
+                let t0 = std::time::Instant::now();
+                for _ in 0..3 {
+                    backend.gemm(g, &mut c, s);
+                }
+                t0.elapsed()
+            };
+            // `&` rather than `all`: every probe is timed at every size.
+            let wins = probes.iter().fold(true, |wins, g| {
+                wins & (time(&PACKED, g) <= time(&REFERENCE, g))
+            });
+            if wins {
                 crossover = Some(s);
                 break;
             }
@@ -653,13 +312,6 @@ pub fn autotune() -> KernelPolicy {
     })
 }
 
-/// The B-operand storage dtypes the autotune probe covered when a policy was
-/// saved. Stored in the persisted JSON so a policy tuned before a new
-/// storage arm existed (e.g. a version-1 file predating `nm-2:4`) is
-/// recognisably stale: [`invalidate_stale_policy`] deletes it and the next
-/// [`autotune`] re-probes with the full arm set.
-pub const POLICY_DTYPES: [&str; 5] = ["f32", "f16", "i8-block", "nf4-block", "nm-2:4"];
-
 /// A policy loaded from disk, together with the `(isa, threads)` key it was
 /// tuned under and the dtype arms its probe covered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -667,7 +319,11 @@ pub struct PersistedPolicy {
     pub policy: KernelPolicy,
     pub isa: Isa,
     pub threads: usize,
-    /// Dtype names (see [`POLICY_DTYPES`]) the probe covered.
+    /// B-operand dtype names (see [`BOperand::DTYPES`]) the probe covered.
+    /// Stored so a policy tuned before a new storage arm existed (e.g. a
+    /// version-1 file predating `nm-2:4`) is recognisably stale:
+    /// [`invalidate_stale_policy`] deletes it and the next [`autotune`]
+    /// re-probes with the full arm set.
     pub dtypes: Vec<String>,
 }
 
@@ -728,7 +384,7 @@ pub fn save_policy_json(
         threads,
         // Space-separated: the hand-rolled json_raw scanner treats ',' as a
         // value terminator, so commas inside the string would truncate it.
-        POLICY_DTYPES.join(" "),
+        BOperand::DTYPES.join(" "),
         policy.tiles.mc,
         policy.tiles.kc,
         policy.tiles.nc,
@@ -843,7 +499,7 @@ mod tests {
         assert_eq!(loaded.isa, Isa::Avx2);
         assert_eq!(loaded.threads, 4);
         // A freshly saved policy covers every probed dtype arm.
-        for dt in POLICY_DTYPES {
+        for dt in BOperand::DTYPES {
             assert!(loaded.covers_dtype(dt), "missing dtype coverage: {dt}");
         }
         assert!(!loaded.covers_dtype("fp64"));

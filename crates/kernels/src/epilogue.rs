@@ -2,11 +2,12 @@
 //!
 //! Every FC layer in the model follows its GEMM with a bias add and (for
 //! GELU MLPs) an activation — classically a second and third read-modify-write
-//! pass over the whole output. An [`Epilogue`] handed to the `*_ep` GEMM
-//! entry points is instead applied to each macro-block of C right after its
-//! final k-block is accumulated, while the block is still cache-warm — the
-//! extra serial passes disappear and the epilogue work runs on the same
-//! workers that computed the block, so it parallelises with the GEMM.
+//! pass over the whole output. An [`Epilogue`] set on a GEMM descriptor
+//! ([`Gemm::epilogue`](crate::Gemm::epilogue)) is instead applied to each
+//! macro-block of C right after its final k-block is accumulated, while the
+//! block is still cache-warm — the extra serial passes disappear and the
+//! epilogue work runs on the same workers that computed the block, so it
+//! parallelises with the GEMM.
 //!
 //! Numerics: the epilogue is applied element-wise *after* the complete
 //! accumulation (including the `beta` pre-scale), in the same order an
@@ -89,7 +90,7 @@ impl Epilogue<'_> {
 }
 
 /// Apply `ep` to an `m`×`n` block of `c` as a standalone pass — the unfused
-/// fallback used by the default `*_ep` trait methods and by degenerate
+/// pass used by the reference backend's reduced-B loops and by degenerate
 /// `k == 0` GEMMs (where the "accumulation" is just the beta pre-scale).
 #[track_caller]
 pub fn apply_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, ep: Epilogue<'_>) {

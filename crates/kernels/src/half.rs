@@ -2,14 +2,15 @@
 //!
 //! These are the canonical software f16 routines for the whole workspace:
 //! `lx-tensor::f16` delegates here so the storage layer and the fused
-//! f16-input GEMM paths (see [`KernelBackend::gemm_f16`] and the packed
-//! backend's pack-time decode) can never disagree on rounding semantics.
+//! f16-input GEMM paths (an f16 [`BOperand`] decoded in the packed
+//! backend's pack stage or the reference backend's row loads) can never
+//! disagree on rounding semantics.
 //!
 //! Conversion policy: f32→f16 rounds to nearest, ties to even; overflow
 //! saturates to ±inf; NaN stays NaN with the quiet bit forced so a payload
 //! that truncates to zero cannot turn into an infinity. f16→f32 is exact.
 //!
-//! [`KernelBackend::gemm_f16`]: crate::KernelBackend::gemm_f16
+//! [`BOperand`]: crate::BOperand
 
 /// Convert an `f32` to IEEE binary16 bits (round-to-nearest-even).
 pub fn f32_to_f16_bits(value: f32) -> u16 {

@@ -1,36 +1,42 @@
 //! # lx-kernels — runtime-dispatched GEMM microkernel backends
 //!
 //! Every dense and block-sparse hot path in this workspace bottoms out in one
-//! of three GEMM variants (`C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`, all row-major,
-//! all with leading dimensions). This crate owns those kernels behind the
-//! [`KernelBackend`] trait:
+//! GEMM call: `C = epilogue(beta·C + op(A)·op(B))`, row-major with leading
+//! dimensions, described by a [`Gemm`] value. The descriptor carries the
+//! layout (`nn`, `nt`, or `tn`), the B operand in any [`BOperand`] storage
+//! (f32, f16, int8-block, NF4-block, or 2:4 N:M) and an optional fused
+//! [`Epilogue`] (bias add, optionally followed by GELU) applied inside the
+//! write-back while output tiles are cache-hot — bit-identically to the
+//! unfused sequence (see the `epilogue` module).
+//!
+//! A backend is the one method [`KernelBackend::gemm`]:
 //!
 //! * [`Reference`] — the original scalar `i-k-j` loops, kept as the
-//!   correctness oracle and the zero-setup-cost arm for small shapes;
+//!   correctness oracle and the zero-setup-cost arm for small shapes; a
+//!   reduced-storage B is decoded on load, one row at a time;
 //! * [`Packed`] — cache-blocked, panel-packed microkernels (`MR×NR` register
 //!   tiles, B-panel reuse across A row blocks, runtime-selected
 //!   scalar/AVX2/AVX-512/NEON `std::arch` inner loops — see [`Isa`] and
 //!   [`active_isa`]) with the macro-kernel parallelised over the
-//!   `lx-parallel` pool (worker-disjoint C row panels, shared packed B);
+//!   `lx-parallel` pool (worker-disjoint C row panels, shared packed B); a
+//!   reduced-storage B is decoded while its panels are packed;
 //! * [`Auto`] — the size-aware dispatcher that picks between them per call
 //!   using the installed [`KernelPolicy`] (see the `dispatch` module source
 //!   for the policy rationale, `lx_runtime::kernel_policy` for the
 //!   cache-model-derived tile shapes, and [`autotune`] for the one-time
-//!   measured probe, persisted across restarts via `LX_KERNEL_POLICY`).
+//!   measured probe, persisted across restarts via `LX_KERNEL_POLICY`);
+//! * [`Observed`] — the wrapper [`backend`] hands out, which counts every
+//!   call into the `kernel.gemm.*` metrics.
 //!
-//! GEMM entry points come in plain and `_ep` (epilogue-fused) forms: the
-//! `_ep` twins take an [`Epilogue`] (bias add, optionally followed by GELU)
-//! that is applied inside the write-back while output tiles are cache-hot,
-//! eliminating the separate bias/activation passes — bit-identically to the
-//! unfused sequence (see the `epilogue` module).
-//!
-//! Callers outside benchmarks should use the free functions below, which
-//! route through the process-wide backend (`LX_KERNEL_BACKEND` ∈
-//! `reference | packed | auto`, default `auto`). `lx-tensor::gemm` re-exports
-//! the contiguous forms; the sparse operators in `lx-sparse` call the strided
-//! forms directly so block and neuron-slab GEMMs hit the same microkernels.
+//! Callers outside benchmarks should go through [`backend`], the
+//! process-wide backend (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`,
+//! default `auto`). [`gemm`] is the contiguous f32 shorthand; `lx-tensor`
+//! builds descriptors for its tensor-level products, and the sparse operators
+//! in `lx-sparse` issue strided descriptors directly so block and
+//! neuron-slab GEMMs hit the same microkernels.
 
 mod backend;
+mod descriptor;
 mod dispatch;
 mod epilogue;
 pub mod half;
@@ -39,10 +45,11 @@ mod observe;
 mod packed;
 
 pub use backend::{KernelBackend, Reference};
+pub use descriptor::{BOperand, Gemm};
 pub use dispatch::{
     auto_choice, autotune, backend, backend_by_name, current_policy, force_scalar, install_policy,
     invalidate_stale_policy, load_policy_json, save_policy_json, Auto, KernelPolicy,
-    PersistedPolicy, TileConfig, AUTO, PACKED, POLICY_DTYPES, REFERENCE,
+    PersistedPolicy, TileConfig, AUTO, PACKED, REFERENCE,
 };
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
@@ -78,192 +85,11 @@ pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C`, contiguous rows.
+/// `C[m,n] = A[m,k]·B[k,n] + beta·C`, contiguous rows, on the process-wide
+/// backend.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// [`gemm`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_ep(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta, ep)
-}
-
-/// [`gemm_nt`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_nt_ep(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta, ep)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C`, contiguous rows.
-pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm_nt(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[k,m]ᵀ·B[k,n] + beta·C`, contiguous rows.
-pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm_tn(m, k, n, a, m.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored as f16 bits, contiguous
-/// rows. B is decoded to f32 on load/pack; all accumulation stays f32.
-pub fn gemm_f16(m: usize, k: usize, n: usize, a: &[f32], b: &[u16], c: &mut [f32], beta: f32) {
-    backend().gemm_f16(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored as f16 bits, contiguous
-/// rows. Same mixed-precision contract as [`gemm_f16`].
-pub fn gemm_nt_f16(m: usize, k: usize, n: usize, a: &[f32], b: &[u16], c: &mut [f32], beta: f32) {
-    backend().gemm_nt_f16(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored block-quantized int8,
-/// contiguous rows. B dequantizes to f32 on load/pack; all accumulation
-/// stays f32.
-pub fn gemm_q8(m: usize, k: usize, n: usize, a: &[f32], b: Q8View<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_q8(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored block-quantized int8,
-/// contiguous rows.
-pub fn gemm_nt_q8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: Q8View<'_>,
-    c: &mut [f32],
-    beta: f32,
-) {
-    backend().gemm_nt_q8(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored NF4, contiguous rows.
-/// Same mixed-precision contract as [`gemm_q8`].
-pub fn gemm_q4(m: usize, k: usize, n: usize, a: &[f32], b: Q4View<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_q4(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored NF4, contiguous rows.
-pub fn gemm_nt_q4(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: Q4View<'_>,
-    c: &mut [f32],
-    beta: f32,
-) {
-    backend().gemm_nt_q4(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored N:M structured-sparse
-/// (2:4), contiguous rows. The codec is lossless (kept values are exact f32),
-/// so every backend must agree bit for bit with decoding B up front and
-/// running its own f32 path; the packed backend exploits the structure by
-/// skipping all-zero groups at pack time.
-pub fn gemm_nm(m: usize, k: usize, n: usize, a: &[f32], b: NmView<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_nm(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored N:M structured-sparse
-/// (2:4), contiguous rows. This is the frozen-backbone forward shape: B's
-/// sparse axis is the reduction axis, so zero-group skipping removes whole
-/// K-group strips from the pack.
-pub fn gemm_nt_nm(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: NmView<'_>,
-    c: &mut [f32],
-    beta: f32,
-) {
-    backend().gemm_nt_nm(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// [`gemm_nt_nm`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_nm_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: NmView<'_>,
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_nt_nm_ep(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta, ep)
-}
-
-/// Strided [`gemm`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-}
-
-/// Strided [`gemm_nt`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta)
-}
-
-/// Strided [`gemm_tn`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm_tn(m, k, n, a, lda, b, ldb, c, ldc, beta)
+    let g = Gemm::nn(m, k, n, a, k.max(1), b, n.max(1)).beta(beta);
+    backend().gemm(&g, c, n.max(1))
 }
 
 #[cfg(test)]
@@ -320,7 +146,7 @@ mod tests {
             let b = pseudo(k * n, 2 + n as u32);
             let expect = naive(m, k, n, &a, &b);
             let mut c = vec![0.0; m * n];
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 0.0);
+            PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c, n);
             assert_close(&c, &expect, 1e-4);
         }
     }
@@ -331,7 +157,7 @@ mod tests {
         let a = pseudo(m * k, 3);
         let b = pseudo(k * n, 4);
         let mut c = vec![1.0; m * n];
-        PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 2.0);
+        PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n).beta(2.0), &mut c, n);
         let mut expect = naive(m, k, n, &a, &b);
         for v in expect.iter_mut() {
             *v += 2.0;
@@ -347,13 +173,13 @@ mod tests {
         let at = pseudo(k * m, 7);
         let bn = pseudo(k * n, 8);
         let (mut c1, mut c2) = (vec![0.0; m * n], vec![0.0; m * n]);
-        PACKED.gemm_nt(m, k, n, &a, k, &bt, k, &mut c1, n, 0.0);
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bt, k, &mut c2, n, 0.0);
+        PACKED.gemm(&Gemm::nt(m, k, n, &a, k, &bt[..], k), &mut c1, n);
+        REFERENCE.gemm(&Gemm::nt(m, k, n, &a, k, &bt[..], k), &mut c2, n);
         assert_close(&c1, &c2, 1e-4);
         c1.fill(0.0);
         c2.fill(0.0);
-        PACKED.gemm_tn(m, k, n, &at, m, &bn, n, &mut c1, n, 0.0);
-        REFERENCE.gemm_tn(m, k, n, &at, m, &bn, n, &mut c2, n, 0.0);
+        PACKED.gemm(&Gemm::tn(m, k, n, &at, m, &bn, n), &mut c1, n);
+        REFERENCE.gemm(&Gemm::tn(m, k, n, &at, m, &bn, n), &mut c2, n);
         assert_close(&c1, &c2, 1e-4);
     }
 
@@ -375,7 +201,7 @@ mod tests {
         let expect = naive(m, k, n, &a_tight, &b_tight);
         for be in [&PACKED as &dyn KernelBackend, &REFERENCE] {
             let mut c = vec![0.0; (m - 1) * ldc + n];
-            be.gemm(m, k, n, &a, lda, &b, ldb, &mut c, ldc, 0.0);
+            be.gemm(&Gemm::nn(m, k, n, &a, lda, &b[..], ldb), &mut c, ldc);
             for i in 0..m {
                 assert_close(&c[i * ldc..i * ldc + n], &expect[i * n..(i + 1) * n], 1e-4);
             }
@@ -385,12 +211,13 @@ mod tests {
     #[test]
     fn degenerate_dims_are_noops_or_scales() {
         let mut c = vec![3.0; 4];
+        let empty: &[f32] = &[];
         // k == 0: C just gets scaled by beta.
         for be in [&PACKED as &dyn KernelBackend, &REFERENCE, &AUTO] {
             c.fill(3.0);
-            be.gemm(2, 0, 2, &[], 1, &[], 2, &mut c, 2, 0.5);
+            be.gemm(&Gemm::nn(2, 0, 2, empty, 1, empty, 2).beta(0.5), &mut c, 2);
             assert_eq!(c, vec![1.5; 4], "{}", be.name());
-            be.gemm(0, 3, 0, &[], 3, &[], 1, &mut [], 1, 0.0);
+            be.gemm(&Gemm::nn(0, 3, 0, empty, 3, empty, 1), &mut [], 1);
         }
     }
 
@@ -425,15 +252,15 @@ mod tests {
             let expect = naive(m, k, n, &a, &bdq);
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
                 let mut c = vec![0.0; m * n];
-                be.gemm_q8(m, k, n, &a, k, view, n, &mut c, n, 0.0);
+                be.gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c, n);
                 assert_close(&c, &expect, 1e-4);
             }
             // Reference must match its own f32 path bit for bit (identical
             // accumulation order — the slab-decode equivalence rests on it).
             let mut c_ref = vec![0.0; m * n];
             let mut c_f32 = vec![0.0; m * n];
-            REFERENCE.gemm_q8(m, k, n, &a, k, view, n, &mut c_ref, n, 0.0);
-            REFERENCE.gemm(m, k, n, &a, k, &bdq, n, &mut c_f32, n, 0.0);
+            REFERENCE.gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c_ref, n);
+            REFERENCE.gemm(&Gemm::nn(m, k, n, &a, k, &bdq[..], n), &mut c_f32, n);
             for (x, y) in c_ref.iter().zip(&c_f32) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
@@ -452,7 +279,7 @@ mod tests {
             let expect = naive(m, k, n, &a, &bdq);
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
                 let mut c = vec![0.0; m * n];
-                be.gemm_q4(m, k, n, &a, k, view, n, &mut c, n, 0.0);
+                be.gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c, n);
                 assert_close(&c, &expect, 1e-4);
             }
         }
@@ -468,19 +295,23 @@ mod tests {
         let mut bdq = vec![0.0f32; n * k];
         lx_quant::q8::dequantize(&c8, &s8, &mut bdq);
         let mut expect = vec![0.0; m * n];
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
+        REFERENCE.gemm(&Gemm::nt(m, k, n, &a, k, &bdq[..], k), &mut expect, n);
         for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
             let mut c = vec![0.0; m * n];
-            be.gemm_nt_q8(m, k, n, &a, k, Q8View::new(&c8, &s8), k, &mut c, n, 0.0);
+            be.gemm(
+                &Gemm::nt(m, k, n, &a, k, Q8View::new(&c8, &s8), k),
+                &mut c,
+                n,
+            );
             assert_close(&c, &expect, 1e-4);
         }
         lx_quant::nf4::dequantize(&c4, &s4, &mut bdq);
         expect.fill(0.0);
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
+        REFERENCE.gemm(&Gemm::nt(m, k, n, &a, k, &bdq[..], k), &mut expect, n);
         for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
             let mut c = vec![0.0; m * n];
             let view = Q4View::new(&c4, &s4, n * k);
-            be.gemm_nt_q4(m, k, n, &a, k, view, k, &mut c, n, 0.0);
+            be.gemm(&Gemm::nt(m, k, n, &a, k, view, k), &mut c, n);
             assert_close(&c, &expect, 1e-4);
         }
     }
@@ -508,7 +339,7 @@ mod tests {
             assert_eq!(bdq, bf);
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
                 let mut c = vec![0.0; m * n];
-                be.gemm_nm(m, k, n, &a, k, view, n, &mut c, n, 0.0);
+                be.gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c, n);
                 assert_close(&c, &naive(m, k, n, &a, &bdq), 1e-4);
             }
             // Unlike q8/nf4 there is no quantization error, so each backend
@@ -519,8 +350,8 @@ mod tests {
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
                 let mut c_nm = vec![0.0; m * n];
                 let mut c_f32 = vec![0.0; m * n];
-                be.gemm_nm(m, k, n, &a, k, view, n, &mut c_nm, n, 0.0);
-                be.gemm(m, k, n, &a, k, &bdq, n, &mut c_f32, n, 0.0);
+                be.gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c_nm, n);
+                be.gemm(&Gemm::nn(m, k, n, &a, k, &bdq[..], n), &mut c_f32, n);
                 for (x, y) in c_nm.iter().zip(&c_f32) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{}", be.name());
                 }
@@ -541,17 +372,17 @@ mod tests {
             lx_quant::nm::decode(&vals, &masks, n, k, 2, 4, &mut bdq);
             assert_eq!(bdq, bf);
             let mut expect = vec![0.0; m * n];
-            REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
+            REFERENCE.gemm(&Gemm::nt(m, k, n, &a, k, &bdq[..], k), &mut expect, n);
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
                 let mut c = vec![0.0; m * n];
-                be.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c, n, 0.0);
+                be.gemm(&Gemm::nt(m, k, n, &a, k, view, k), &mut c, n);
                 assert_close(&c, &expect, 1e-4);
             }
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
                 let mut c_nm = vec![0.0; m * n];
                 let mut c_f32 = vec![0.0; m * n];
-                be.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_nm, n, 0.0);
-                be.gemm_nt(m, k, n, &a, k, &bdq, k, &mut c_f32, n, 0.0);
+                be.gemm(&Gemm::nt(m, k, n, &a, k, view, k), &mut c_nm, n);
+                be.gemm(&Gemm::nt(m, k, n, &a, k, &bdq[..], k), &mut c_f32, n);
                 for (x, y) in c_nm.iter().zip(&c_f32) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{}", be.name());
                 }
@@ -567,14 +398,15 @@ mod tests {
         let (vals, masks) = lx_quant::nm::encode(&bf, n, k, 2, 4);
         let view = NmView::new(&vals, &masks, n, k, 2, 4);
         let mut expect = vec![0.0; m * n];
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bf, k, &mut expect, n, 0.0);
+        REFERENCE.gemm(&Gemm::nt(m, k, n, &a, k, &bf[..], k), &mut expect, n);
         let mut c = vec![0.0; m * n];
-        gemm_nt_nm(m, k, n, &a, view, &mut c, 0.0);
+        backend().gemm(&Gemm::nt(m, k, n, &a, k, view, k), &mut c, n);
         assert_close(&c, &expect, 1e-4);
         let bn = round24(pseudo(k * n, 36), k, n);
         let (vn, mn) = lx_quant::nm::encode(&bn, k, n, 2, 4);
         c.fill(0.0);
-        gemm_nm(m, k, n, &a, NmView::new(&vn, &mn, k, n, 2, 4), &mut c, 0.0);
+        let view = NmView::new(&vn, &mn, k, n, 2, 4);
+        backend().gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c, n);
         assert_close(&c, &naive(m, k, n, &a, &bn), 1e-4);
     }
 
@@ -587,7 +419,8 @@ mod tests {
         let mut bdq = vec![0.0f32; k * n];
         lx_quant::q8::dequantize(&codes, &scales, &mut bdq);
         let mut c = vec![0.0; m * n];
-        gemm_q8(m, k, n, &a, Q8View::new(&codes, &scales), &mut c, 0.0);
+        let view = Q8View::new(&codes, &scales);
+        backend().gemm(&Gemm::nn(m, k, n, &a, k, view, n), &mut c, n);
         assert_close(&c, &naive(m, k, n, &a, &bdq), 1e-4);
     }
 }

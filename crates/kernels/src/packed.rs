@@ -20,8 +20,9 @@
 //!   explicit FMA-friendly inner loops. The register-tile shape follows the
 //!   active [`Isa`] arm (6×16 scalar/AVX2/NEON, 14×32 AVX-512), and packing
 //!   geometry follows the arm so each kernel sees panels of its own width.
-//! * Packing absorbs the `_nt`/`_tn` transposes: all three variants feed the
-//!   *same* microkernel, only the pack routines index differently. Edge tiles
+//! * Packing absorbs the `nt`/`tn` transposes and every B storage format: all
+//!   descriptors feed the *same* microkernel, only the pack routines index
+//!   and decode differently. Edge tiles
 //!   are zero-padded in the packed buffers, so the microkernel never branches
 //!   on shape; write-back clamps to the valid region.
 //! * B̃ is packed once per `(jc, pc)` block — in parallel across panel chunks
@@ -44,7 +45,8 @@
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{check_view, row_grain, scale_only, KernelBackend};
+use crate::backend::{row_grain, scale_only, KernelBackend};
+use crate::descriptor::{BOperand, Gemm};
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
@@ -68,6 +70,16 @@ enum Layout {
     Normal,
     /// Operand stored transposed (`cols × rows` row-major).
     Transposed,
+}
+
+impl Layout {
+    fn of(transposed: bool) -> Self {
+        if transposed {
+            Layout::Transposed
+        } else {
+            Layout::Normal
+        }
+    }
 }
 
 /// Element type a B operand may be stored in. Packing converts to f32, so
@@ -273,7 +285,7 @@ impl PackSrc for lx_quant::NmView<'_> {
     }
 
     /// Transposed layout: panel columns are storage rows and the k-steps run
-    /// along each row's groups — the frozen-backbone `gemm_nt_nm` shape,
+    /// along each row's groups — the frozen-backbone `nt` N:M shape,
     /// where every output neuron's weight row is N:M sparse along k.
     fn fill_panel_transposed(
         &self,
@@ -672,658 +684,124 @@ pub fn simd_active() -> bool {
 /// [`active_isa`].
 pub struct Packed;
 
-impl Packed {
-    #[allow(clippy::too_many_arguments)]
-    fn driver<S: PackSrc + ?Sized>(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        a_layout: Layout,
-        b: &S,
-        ldb: usize,
-        b_layout: Layout,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        if m == 0 || n == 0 {
-            return;
-        }
-        ep.check(n);
-        // Nested call (inside a pool worker) or explicit
-        // `with_sequential`: run the whole macro-kernel on this thread.
-        let seq = crate::sequential_mode();
-        // One beta pass up front; every k-block then accumulates. The extra
-        // sweep over C costs O(m·n) against the O(m·n·k) product and only
-        // runs for shapes the dispatcher already deemed compute-bound —
-        // accepted in exchange for a branch-free microkernel write-back.
-        if beta != 1.0 {
-            scale_only(c, m, n, ldc, beta);
-        }
-        if k == 0 {
-            // Degenerate product: the "sum" is just the beta pre-scale, so
-            // the epilogue becomes a standalone pass.
-            apply_epilogue(c, m, n, ldc, ep);
-            return;
-        }
-        let isa = active_isa();
-        let (tmr, tnr) = isa.tile();
-        let t = tiles();
-        let (mc, kc_max, nc_max) = (t.mc.max(tmr), t.kc.max(1), t.nc.max(tnr));
-        // Reuse this thread's B̃ buffer across calls. Taken out of the
-        // thread-local (not borrowed across the parallel section): the
-        // submitting thread helps drain the pool queue while waiting, and a
-        // stolen task may re-enter `driver` on this very thread — a held
-        // `RefCell` borrow would panic, whereas a nested call here simply
-        // finds an empty cell and allocates its own buffer.
-        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        let mut jc = 0;
-        while jc < n {
-            let nc = nc_max.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = kc_max.min(k - pc);
-                // The epilogue folds into the write-back of the *final*
-                // k-block only, i.e. after the complete accumulated sum.
-                let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
-                pack_b(&mut bpack, b, ldb, b_layout, pc, kc, jc, nc, tnr, !seq);
-                let bpack_ref = &bpack;
-                let grain = row_grain(kc, nc).max(tmr);
-                let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
-                    PACK_A.with(|apack| {
-                        let apack = &mut *apack.borrow_mut();
-                        let mut ic = rows.start;
-                        while ic < rows.end {
-                            let mcb = mc.min(rows.end - ic);
-                            pack_a(apack, a, lda, a_layout, ic, mcb, pc, kc, tmr);
-                            for jr in (0..nc).step_by(tnr) {
-                                let nr = tnr.min(nc - jr);
-                                let bp = &bpack_ref[(jr / tnr) * kc * tnr..];
-                                for ir in (0..mcb).step_by(tmr) {
-                                    let mr = tmr.min(mcb - ir);
-                                    let ap = &apack[(ir / tmr) * kc * tmr..];
-                                    let coff = (ic - rows.start + ir) * ldc + jc + jr;
-                                    microkernel(isa, kc, ap, bp, &mut chunk[coff..], ldc, mr, nr);
-                                }
-                            }
-                            // Epilogue over the finished mc×nc block, full
-                            // rows at a time: the block is still cache-warm,
-                            // the work stays on the worker that computed it,
-                            // and the long contiguous rows amortise loop
-                            // setup the way a 32-wide register tile cannot.
-                            if !ep_blk.is_none() {
-                                for r in 0..mcb {
-                                    let off = (ic - rows.start + r) * ldc + jc;
-                                    ep_blk.apply_tile(&mut chunk[off..], ldc, 1, nc, jc);
-                                }
-                            }
-                            ic += mcb;
-                        }
-                    });
-                };
-                if seq {
-                    macro_rows(0..m, &mut *c);
-                } else {
-                    par_rows(c, m, ldc, grain, macro_rows);
-                }
-                pc += kc;
-            }
-            jc += nc;
-        }
-        PACK_B.with(|b| *b.borrow_mut() = bpack);
-    }
-}
-
 impl KernelBackend for Packed {
     fn name(&self) -> &'static str {
         "packed"
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
+    /// The one storage match: each B kind becomes a `PackSrc` whose decode
+    /// (f16 widening, `code · scale` dequant, N:M group expansion with
+    /// zero-group skipping) is fused into the B̃ pack, so the microkernel
+    /// runs unchanged on f32 panels and no f32 copy of B is materialised.
+    fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
+        g.check(c.len(), ldc);
+        match g.b {
+            BOperand::F32(b) => driver(g, b, c, ldc),
+            BOperand::F16(b) => driver(g, b, c, ldc),
+            BOperand::Q8(b) => driver(g, &b, c, ldc),
+            BOperand::Q4(b) => driver(g, &b, c, ldc),
+            BOperand::Nm(b) => driver(g, &b, c, ldc),
+        }
     }
+}
 
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
+/// The blocked macro-kernel over any packable B (see the module docs).
+fn driver<S: PackSrc + ?Sized>(g: &Gemm<'_>, b: &S, c: &mut [f32], ldc: usize) {
+    let Gemm {
+        m,
+        k,
+        n,
+        a,
+        lda,
+        ldb,
+        beta,
+        ep,
+        ..
+    } = *g;
+    let (a_layout, b_layout) = (Layout::of(g.a_trans), Layout::of(g.b_trans));
+    if m == 0 || n == 0 {
+        return;
     }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), k, m, lda, "gemm_tn: A");
-        check_view(b.len(), k, n, ldb, "gemm_tn: B");
-        check_view(c.len(), m, n, ldc, "gemm_tn: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Transposed,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            Epilogue::None,
-        );
+    ep.check(n);
+    // Nested call (inside a pool worker) or explicit
+    // `with_sequential`: run the whole macro-kernel on this thread.
+    let seq = crate::sequential_mode();
+    // One beta pass up front; every k-block then accumulates. The extra
+    // sweep over C costs O(m·n) against the O(m·n·k) product and only
+    // runs for shapes the dispatcher already deemed compute-bound —
+    // accepted in exchange for a branch-free microkernel write-back.
+    if beta != 1.0 {
+        scale_only(c, m, n, ldc, beta);
     }
-
-    /// Fused pack-time decode: B's f16 bits are expanded to f32 while the
-    /// B̃ panels are packed, so the decode costs one pass over `k×n` elements
-    /// and the microkernel runs unchanged on f32 panels.
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
+    if k == 0 {
+        // Degenerate product: the "sum" is just the beta pre-scale, so
+        // the epilogue becomes a standalone pass.
+        apply_epilogue(c, m, n, ldc, ep);
+        return;
     }
-
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
+    let isa = active_isa();
+    let (tmr, tnr) = isa.tile();
+    let t = tiles();
+    let (mc, kc_max, nc_max) = (t.mc.max(tmr), t.kc.max(1), t.nc.max(tnr));
+    // Reuse this thread's B̃ buffer across calls. Taken out of the
+    // thread-local (not borrowed across the parallel section): the
+    // submitting thread helps drain the pool queue while waiting, and a
+    // stolen task may re-enter `driver` on this very thread — a held
+    // `RefCell` borrow would panic, whereas a nested call here simply
+    // finds an empty cell and allocates its own buffer.
+    let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
+    let mut jc = 0;
+    while jc < n {
+        let nc = nc_max.min(n - jc);
+        let mut pc = 0;
+        while pc < k {
+            let kc = kc_max.min(k - pc);
+            // The epilogue folds into the write-back of the *final*
+            // k-block only, i.e. after the complete accumulated sum.
+            let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
+            pack_b(&mut bpack, b, ldb, b_layout, pc, kc, jc, nc, tnr, !seq);
+            let bpack_ref = &bpack;
+            let grain = row_grain(kc, nc).max(tmr);
+            let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
+                PACK_A.with(|apack| {
+                    let apack = &mut *apack.borrow_mut();
+                    let mut ic = rows.start;
+                    while ic < rows.end {
+                        let mcb = mc.min(rows.end - ic);
+                        pack_a(apack, a, lda, a_layout, ic, mcb, pc, kc, tmr);
+                        for jr in (0..nc).step_by(tnr) {
+                            let nr = tnr.min(nc - jr);
+                            let bp = &bpack_ref[(jr / tnr) * kc * tnr..];
+                            for ir in (0..mcb).step_by(tmr) {
+                                let mr = tmr.min(mcb - ir);
+                                let ap = &apack[(ir / tmr) * kc * tmr..];
+                                let coff = (ic - rows.start + ir) * ldc + jc + jr;
+                                microkernel(isa, kc, ap, bp, &mut chunk[coff..], ldc, mr, nr);
+                            }
+                        }
+                        // Epilogue over the finished mc×nc block, full
+                        // rows at a time: the block is still cache-warm,
+                        // the work stays on the worker that computed it,
+                        // and the long contiguous rows amortise loop
+                        // setup the way a 32-wide register tile cannot.
+                        if !ep_blk.is_none() {
+                            for r in 0..mcb {
+                                let off = (ic - rows.start + r) * ldc + jc;
+                                ep_blk.apply_tile(&mut chunk[off..], ldc, 1, nc, jc);
+                            }
+                        }
+                        ic += mcb;
+                    }
+                });
+            };
+            if seq {
+                macro_rows(0..m, &mut *c);
+            } else {
+                par_rows(c, m, ldc, grain, macro_rows);
+            }
+            pc += kc;
+        }
+        jc += nc;
     }
-
-    /// Fused pack-time dequant: each packed B element is `code · scale`,
-    /// resolved from the view's flat index space, so the int8 storage never
-    /// materialises as an f32 matrix and the microkernel runs unchanged.
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    /// Fused pack-time expansion with zero-group skipping: compacted N:M
-    /// groups scatter their kept nonzeros straight into the pre-zeroed B̃
-    /// panels (see the [`PackSrc`] impl on the view), so the dense f32 B is
-    /// never materialised, pack traffic scales with nnz, and the microkernel
-    /// runs unchanged.
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm: A");
-        check_view(b.len(), k, n, ldb, "gemm: B");
-        check_view(c.len(), m, n, ldc, "gemm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_f16: A");
-        check_view(b.len(), k, n, ldb, "gemm_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_f16: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_f16: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_f16: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q8: A");
-        check_view(b.len(), k, n, ldb, "gemm_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_q8: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q8: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q8: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q4: A");
-        check_view(b.len(), k, n, ldb, "gemm_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_q4: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q4: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q4: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nm: A");
-        check_view(b.len(), k, n, ldb, "gemm_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_nm: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_nm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
+    PACK_B.with(|b| *b.borrow_mut() = bpack);
 }

@@ -886,20 +886,20 @@ mod tests {
         use lx_tensor::Dtype;
         [
             |m: &mut MlpBlock| {
-                m.w1.to_half();
-                m.w2.to_half();
+                m.w1.demote(Dtype::F16);
+                m.w2.demote(Dtype::F16);
             },
             |m: &mut MlpBlock| {
-                m.w1.to_quant(Dtype::I8Block);
-                m.w2.to_quant(Dtype::I8Block);
+                m.w1.demote(Dtype::I8Block);
+                m.w2.demote(Dtype::I8Block);
             },
             |m: &mut MlpBlock| {
-                m.w1.to_quant(Dtype::Nf4Block);
-                m.w2.to_quant(Dtype::Nf4Block);
+                m.w1.demote(Dtype::Nf4Block);
+                m.w2.demote(Dtype::Nf4Block);
             },
             |m: &mut MlpBlock| {
-                m.w1.to_nm();
-                m.w2.to_nm();
+                m.w1.demote(Dtype::Nm24);
+                m.w2.demote(Dtype::Nm24);
             },
         ]
     }
@@ -979,11 +979,11 @@ mod tests {
         use lx_tensor::Dtype;
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
             let mut q = mlp();
-            q.w1.to_quant(dtype);
-            q.w2.to_quant(dtype);
+            q.w1.demote(dtype);
+            q.w2.demote(dtype);
             let mut pre = mlp();
             for w in [&mut pre.w1, &mut pre.w2] {
-                w.to_quant(dtype);
+                w.demote(dtype);
                 w.to_f32(); // pre-rounded dense f32
             }
             let x = Tensor::randn(&[ROWS, D], 1.0, 35);
@@ -1000,11 +1000,11 @@ mod tests {
         // slab-decoding the pruned weights must equal running the neuron
         // kernels over a pre-pruned dense f32 model bit-for-bit.
         let mut q = mlp();
-        q.w1.to_nm();
-        q.w2.to_nm();
+        q.w1.demote(lx_tensor::Dtype::Nm24);
+        q.w2.demote(lx_tensor::Dtype::Nm24);
         let mut pre = mlp();
         for w in [&mut pre.w1, &mut pre.w2] {
-            w.to_nm();
+            w.demote(lx_tensor::Dtype::Nm24);
             w.to_f32(); // pre-pruned dense f32
         }
         let x = Tensor::randn(&[ROWS, D], 1.0, 36);
@@ -1021,8 +1021,8 @@ mod tests {
         // unchanged-plan fast path must still serve the *current* bias, not
         // the one gathered when the cache was built.
         let mut m = mlp();
-        m.w1.to_quant(lx_tensor::Dtype::Nf4Block);
-        m.w2.to_quant(lx_tensor::Dtype::Nf4Block);
+        m.w1.demote(lx_tensor::Dtype::Nf4Block);
+        m.w2.demote(lx_tensor::Dtype::Nf4Block);
         m.b1.trainable = true;
         let x = Tensor::randn(&[ROWS, D], 1.0, 32);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));

@@ -16,7 +16,7 @@ use crate::plan::SparsePlan;
 use crate::precision::Precision;
 use lx_obs::TimedSpan;
 use lx_tensor::gemm::matmul_tn;
-use lx_tensor::{Dtype, Tensor, Workspace, WorkspaceStats};
+use lx_tensor::{Tensor, Workspace, WorkspaceStats};
 use std::time::Duration;
 
 /// What to record during a calibration forward pass.
@@ -153,25 +153,13 @@ impl TransformerModel {
     /// Apply *after* any weight surgery that edits f32 buffers in place
     /// (e.g. [`Self::induce_activation_sparsity`]) and before training.
     pub fn set_precision(&mut self, precision: Precision) {
-        let demote: Option<&mut dyn FnMut(&mut Param)> = match precision {
-            Precision::F32 => None,
-            Precision::F16Frozen => Some(&mut |p: &mut Param| p.to_half()),
-            Precision::Int8Frozen => Some(&mut |p: &mut Param| p.to_quant(Dtype::I8Block)),
-            Precision::Nf4Frozen => Some(&mut |p: &mut Param| p.to_quant(Dtype::Nf4Block)),
-            Precision::Nm24Frozen => Some(&mut |p: &mut Param| p.to_nm()),
-        };
-        match demote {
-            None => self.for_each_param(&mut |p| p.to_f32()),
-            Some(demote) => self.for_each_param(&mut |p| {
-                if !p.trainable && p.shape().len() >= 2 {
-                    demote(p);
-                } else {
-                    // A precision *switch* (e.g. f16 → int8) must not leave
-                    // sub-matrix parameters in the previous reduced storage.
-                    p.to_f32();
-                }
-            }),
-        }
+        let dtype = precision.frozen_dtype();
+        self.for_each_param(&mut |p| match dtype {
+            Some(dtype) if !p.trainable && p.shape().len() >= 2 => p.demote(dtype),
+            // A precision *switch* (e.g. f16 → int8) must not leave
+            // sub-matrix parameters in the previous reduced storage.
+            _ => p.to_f32(),
+        });
         // The cross-step slab caches gather from the (old) storage; a
         // storage change invalidates them.
         for b in &mut self.blocks {
@@ -180,16 +168,8 @@ impl TransformerModel {
         // A persisted autotune policy probed under the old storage family is
         // stale when re-demoting to a dtype it never measured (a pre-nm
         // version-1 file, say): drop it so the next autotune re-probes.
-        if precision != self.precision {
-            if let Some(dtype) = match precision {
-                Precision::F32 => None,
-                Precision::F16Frozen => Some(Dtype::F16),
-                Precision::Int8Frozen => Some(Dtype::I8Block),
-                Precision::Nf4Frozen => Some(Dtype::Nf4Block),
-                Precision::Nm24Frozen => Some(Dtype::Nm24),
-            } {
-                lx_kernels::invalidate_stale_policy(dtype.name());
-            }
+        if let Some(dtype) = dtype.filter(|_| precision != self.precision) {
+            lx_kernels::invalidate_stale_policy(dtype.name());
         }
         self.precision = precision;
     }

@@ -3,30 +3,21 @@
 //! small extra parameters — exactly the paper's Table I setting.
 //!
 //! Storage precision: a parameter normally holds its values in [`value`]
-//! (f32). Under [`Precision::F16Frozen`](crate::Precision) frozen backbone
-//! matrices are *demoted* to half storage ([`Param::to_half`]): the f16 bits
-//! live in [`half`], [`value`] becomes an empty placeholder, and the compute
-//! paths consume the bits through the fused f16-input GEMMs (or decode rows
-//! on load). The block-quantized plans (`Int8Frozen`/`Nf4Frozen`) follow the
-//! same pattern through [`quant`] and [`Param::to_quant`], with the fused
-//! quantized-B GEMMs dequantizing inside their pack stage, and the N:M
-//! structured-sparse plan (`Nm24Frozen`) through [`nm`] and [`Param::to_nm`],
-//! whose fused GEMMs additionally skip all-zero weight groups at pack time.
-//! Trainable parameters are never reduced-stored — gradients and optimizer
-//! state stay f32, as the paper's mixed-precision recipe requires.
+//! (f32). Under the reduced [`Precision`](crate::Precision) plans frozen
+//! backbone matrices are *demoted* ([`Param::demote`]) to a
+//! [`FrozenTensor`] in [`frozen`] — f16 bits, int8/NF4 block codes, or 2:4
+//! N:M compacted survivors — and [`value`] becomes an empty placeholder. The
+//! compute paths consume the storage through the fused GEMMs (which decode
+//! inside their pack stage, and for N:M skip all-zero weight groups) or
+//! decode rows on load. Trainable parameters are never reduced-stored —
+//! gradients and optimizer state stay f32, as the paper's mixed-precision
+//! recipe requires.
 //!
 //! [`value`]: Param::value
-//! [`half`]: Param::half
-//! [`quant`]: Param::quant
-//! [`nm`]: Param::nm
+//! [`frozen`]: Param::frozen
 
-use lx_tensor::f16::f16_bits_to_f32;
-use lx_tensor::gemm::{
-    matmul, matmul_ep, matmul_f16, matmul_f16_ep, matmul_nm, matmul_nm_ep, matmul_nt, matmul_nt_ep,
-    matmul_nt_f16, matmul_nt_f16_ep, matmul_nt_nm, matmul_nt_nm_ep, matmul_nt_quant,
-    matmul_nt_quant_ep, matmul_quant, matmul_quant_ep, Epilogue,
-};
-use lx_tensor::{Dtype, HalfTensor, NmTensor, QuantTensor, Tensor};
+use lx_tensor::gemm::{matmul_operand, Epilogue, Operand};
+use lx_tensor::{Dtype, FrozenTensor, Tensor};
 
 /// A named model parameter.
 #[derive(Debug)]
@@ -35,20 +26,10 @@ pub struct Param {
     /// f32 storage. Empty (`len() == 0`) while the parameter is
     /// reduced-stored.
     pub value: Tensor,
-    /// Half-precision storage; `Some` only for frozen parameters demoted by
-    /// [`Param::to_half`]. Holds the authoritative shape while present.
-    pub half: Option<HalfTensor>,
-    /// Block-quantized storage (int8 or NF4); `Some` only for frozen
-    /// parameters demoted by [`Param::to_quant`]. Mutually exclusive with
-    /// [`half`](Param::half).
-    pub quant: Option<QuantTensor>,
-    /// N:M structured-sparse storage (2:4); `Some` only for frozen
-    /// parameters demoted by [`Param::to_nm`]. Unlike [`half`](Param::half)
-    /// and [`quant`](Param::quant) the codec is lossless on the surviving
-    /// values — demotion prunes (irreversibly zeroes the smaller half of
-    /// each 4-group), but every later decode is bit-exact. Mutually
-    /// exclusive with the other reduced storages.
-    pub nm: Option<NmTensor>,
+    /// Reduced storage; `Some` only for frozen parameters demoted by
+    /// [`Param::demote`] (or [`Param::to_nm_with_mask`]). Holds the
+    /// authoritative shape while present.
+    pub frozen: Option<FrozenTensor>,
     /// Allocated on first accumulation; `None` for frozen params that never
     /// received a gradient (saving the optimizer-state memory PEFT avoids).
     pub grad: Option<Tensor>,
@@ -60,9 +41,7 @@ impl Param {
         Param {
             name: name.into(),
             value,
-            half: None,
-            quant: None,
-            nm: None,
+            frozen: None,
             grad: None,
             trainable,
         }
@@ -74,261 +53,147 @@ impl Param {
     }
 
     pub fn numel(&self) -> usize {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => h.len(),
-            (_, Some(q), _) => q.len(),
-            (_, _, Some(s)) => s.len(),
-            _ => self.value.len(),
-        }
+        self.frozen.as_ref().map_or(self.value.len(), |f| f.len())
     }
 
     /// Logical shape, whichever storage holds the values.
     pub fn shape(&self) -> &[usize] {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => h.shape(),
-            (_, Some(q), _) => q.shape(),
-            (_, _, Some(s)) => s.shape(),
-            _ => self.value.shape(),
-        }
+        self.frozen
+            .as_ref()
+            .map_or(self.value.shape(), |f| f.shape())
     }
 
     /// Storage precision of this parameter right now.
     pub fn dtype(&self) -> Dtype {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(_), _, _) => Dtype::F16,
-            (_, Some(q), _) => q.dtype(),
-            (_, _, Some(s)) => s.dtype(),
-            _ => Dtype::F32,
-        }
+        self.frozen.as_ref().map_or(Dtype::F32, |f| f.dtype())
     }
 
-    pub fn is_half(&self) -> bool {
-        self.half.is_some()
-    }
-
-    pub fn is_quant(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    pub fn is_nm(&self) -> bool {
-        self.nm.is_some()
-    }
-
-    /// Whether the values live in any reduced storage (f16, block-quantized,
-    /// or N:M structured-sparse) rather than f32.
+    /// Whether the values live in reduced storage rather than f32.
     pub fn is_reduced(&self) -> bool {
-        self.half.is_some() || self.quant.is_some() || self.nm.is_some()
+        self.frozen.is_some()
     }
 
     /// Bytes occupied by the value storage (excludes any gradient). Reports
     /// the actual storage's footprint — for the block-quantized dtypes that
     /// includes the per-block scales, matching [`Dtype::bytes_for`].
     pub fn storage_bytes(&self) -> usize {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => h.bytes(),
-            (_, Some(q), _) => q.bytes(),
-            (_, _, Some(s)) => s.bytes(),
-            _ => self.value.len() * Dtype::F32.size_bytes(),
-        }
+        self.frozen
+            .as_ref()
+            .map_or(self.value.len() * Dtype::F32.size_bytes(), |f| f.bytes())
     }
 
-    /// Demote to half storage (round-to-nearest-even). No-op when already
-    /// half; a quantized parameter is decoded first. Panics for trainable
-    /// parameters: the optimizer updates `value` in place, so trainable
-    /// state must stay f32.
-    pub fn to_half(&mut self) {
-        if self.half.is_some() {
+    /// Demote to reduced storage `dtype` ([`Dtype::F16`] rounds to nearest
+    /// even, [`Dtype::I8Block`]/[`Dtype::Nf4Block`] block-quantize,
+    /// [`Dtype::Nm24`] magnitude-prunes each 4-group to its 2 largest values
+    /// and stores the survivors bit-exactly). No-op when already stored at
+    /// `dtype`; other reduced storage is decoded first, and [`Dtype::F32`]
+    /// is [`to_f32`](Self::to_f32). Panics for trainable parameters: the
+    /// optimizer updates `value` in place, so trainable state must stay f32.
+    pub fn demote(&mut self, dtype: Dtype) {
+        if self.dtype() == dtype {
             return;
         }
-        assert!(
-            !self.trainable,
-            "{}: trainable parameters must stay f32 (demote only frozen backbone weights)",
-            self.name
-        );
-        self.to_f32();
-        let h = HalfTensor::from_tensor(&self.value);
-        self.value = Tensor::zeros(&[0]);
-        self.half = Some(h);
-    }
-
-    /// Demote to block-quantized storage (`dtype` ∈
-    /// {[`Dtype::I8Block`], [`Dtype::Nf4Block`]}). No-op when already stored
-    /// at that dtype; any other reduced storage is decoded first. Panics for
-    /// trainable parameters, like [`to_half`](Self::to_half).
-    pub fn to_quant(&mut self, dtype: Dtype) {
-        if self.quant.as_ref().map(|q| q.dtype()) == Some(dtype) {
-            return;
+        if dtype == Dtype::F32 {
+            return self.to_f32();
         }
-        assert!(
-            !self.trainable,
-            "{}: trainable parameters must stay f32 (demote only frozen backbone weights)",
-            self.name
-        );
+        self.assert_frozen();
         self.to_f32();
-        let q = QuantTensor::from_tensor(&self.value, dtype);
-        self.value = Tensor::zeros(&[0]);
-        self.quant = Some(q);
+        self.store(FrozenTensor::from_tensor(&self.value, dtype));
     }
 
-    /// Demote to N:M structured-sparse storage ([`Dtype::Nm24`]): magnitude-
-    /// prune each 4-group to its 2 largest values, then store the survivors
-    /// compacted. No-op when already N:M-stored; any other reduced storage
-    /// is decoded first. Panics for trainable parameters, like
-    /// [`to_half`](Self::to_half). Unlike the other demotions this one is
-    /// *lossy at demotion time only*: the pruned positions are gone, but the
-    /// surviving values — and thus every later decode or GEMM — are bit-exact.
-    pub fn to_nm(&mut self) {
-        if self.nm.is_some() {
-            return;
-        }
-        assert!(
-            !self.trainable,
-            "{}: trainable parameters must stay f32 (demote only frozen backbone weights)",
-            self.name
-        );
-        self.to_f32();
-        let s = NmTensor::from_tensor(&self.value, Dtype::Nm24);
-        self.value = Tensor::zeros(&[0]);
-        self.nm = Some(s);
-    }
-
-    /// [`to_nm`](Self::to_nm) with an externally supplied group mask
-    /// (`lx_quant::nm` layout) instead of magnitude pruning — how a
-    /// calibration-derived or merge-preserved sparsity pattern is installed.
+    /// [`demote`](Self::demote) to [`Dtype::Nm24`] under an externally
+    /// supplied group mask (`lx_quant::nm` layout) instead of magnitude
+    /// pruning — how a calibration-derived or merge-preserved sparsity
+    /// pattern is installed.
     pub fn to_nm_with_mask(&mut self, masks: &[u8]) {
-        assert!(
-            !self.trainable,
-            "{}: trainable parameters must stay f32 (demote only frozen backbone weights)",
-            self.name
-        );
+        self.assert_frozen();
         self.to_f32();
         let shape = self.value.shape().to_vec();
-        let s = NmTensor::from_f32_with_mask(self.value.as_slice(), &shape, masks);
+        self.store(FrozenTensor::nm_with_mask(
+            self.value.as_slice(),
+            &shape,
+            masks,
+        ));
+    }
+
+    fn assert_frozen(&self) {
+        assert!(
+            !self.trainable,
+            "{}: trainable parameters must stay f32 (demote only frozen backbone weights)",
+            self.name
+        );
+    }
+
+    fn store(&mut self, frozen: FrozenTensor) {
         self.value = Tensor::zeros(&[0]);
-        self.nm = Some(s);
+        self.frozen = Some(frozen);
     }
 
     /// Promote back to f32 storage (exact decode of whatever reduced storage
     /// is present). No-op when already f32.
     pub fn to_f32(&mut self) {
-        if let Some(h) = self.half.take() {
-            self.value = h.to_tensor();
+        if let Some(f) = self.frozen.take() {
+            self.value = f.to_tensor();
         }
-        if let Some(q) = self.quant.take() {
-            self.value = q.to_tensor();
-        }
-        if let Some(s) = self.nm.take() {
-            self.value = s.to_tensor();
-        }
+    }
+
+    /// The stored 2-D matrix as a GEMM operand, whichever storage holds it.
+    fn operand(&self) -> Operand<'_> {
+        self.frozen
+            .as_ref()
+            .map_or_else(|| self.value.operand(), |f| f.operand())
     }
 
     /// `x · W` on the trailing-2-D view of the value, fused-decoding when
     /// reduced-stored. This is the forward hot path for frozen weights.
     pub fn matmul(&self, x: &Tensor) -> Tensor {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => matmul_f16(x, h),
-            (_, Some(q), _) => matmul_quant(x, q),
-            (_, _, Some(s)) => matmul_nm(x, s),
-            _ => matmul(x, &self.value),
-        }
+        matmul_operand(x, self.operand(), false, Epilogue::None)
     }
 
     /// `x · Wᵀ`, fused-decoding when reduced-stored (the `dx` backward shape
     /// and the `x·Aᵀ`-style forward shape).
     pub fn matmul_nt(&self, x: &Tensor) -> Tensor {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => matmul_nt_f16(x, h),
-            (_, Some(q), _) => matmul_nt_quant(x, q),
-            (_, _, Some(s)) => matmul_nt_nm(x, s),
-            _ => matmul_nt(x, &self.value),
-        }
+        matmul_operand(x, self.operand(), true, Epilogue::None)
     }
 
     /// [`matmul`](Self::matmul) with a fused [`Epilogue`] applied at kernel
     /// write-back, whatever the storage dtype. Bit-identical to the unfused
     /// matmul followed by the equivalent bias/activation passes.
     pub fn matmul_ep(&self, x: &Tensor, ep: Epilogue<'_>) -> Tensor {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => matmul_f16_ep(x, h, ep),
-            (_, Some(q), _) => matmul_quant_ep(x, q, ep),
-            (_, _, Some(s)) => matmul_nm_ep(x, s, ep),
-            _ => matmul_ep(x, &self.value, ep),
-        }
+        matmul_operand(x, self.operand(), false, ep)
     }
 
     /// [`matmul_nt`](Self::matmul_nt) with a fused [`Epilogue`].
     pub fn matmul_nt_ep(&self, x: &Tensor, ep: Epilogue<'_>) -> Tensor {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => matmul_nt_f16_ep(x, h, ep),
-            (_, Some(q), _) => matmul_nt_quant_ep(x, q, ep),
-            (_, _, Some(s)) => matmul_nt_nm_ep(x, s, ep),
-            _ => matmul_nt_ep(x, &self.value, ep),
-        }
+        matmul_operand(x, self.operand(), true, ep)
     }
 
     /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
     /// (`n_rows × cols`, contiguous), whatever the storage. This is the
-    /// active-neuron-slab gather: for the quantized dtypes the decode is
-    /// elementwise, so a slab window is bit-identical to the same rows of a
-    /// full decode.
+    /// active-neuron-slab gather: every codec decodes rows bit-identically
+    /// to the same rows of a full decode.
     pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => h.decode_rows(r0, n_rows, out),
-            (_, Some(q), _) => q.decode_rows(r0, n_rows, out),
-            (_, _, Some(s)) => s.decode_rows(r0, n_rows, out),
-            _ => {
-                let c = *self.shape().last().unwrap_or(&0);
-                out.copy_from_slice(&self.value.as_slice()[r0 * c..(r0 + n_rows) * c]);
-            }
-        }
+        let b = self.operand();
+        debug_assert_eq!(out.len(), n_rows * b.cols, "{}: slab size", self.name);
+        b.data.decode_rows(b.cols, r0, out);
     }
 
     /// Copy row `r` of the 2-D view into `out`, decoding if reduced-stored
     /// (embedding-table lookups).
     pub fn copy_row_into(&self, r: usize, out: &mut [f32]) {
-        let c = *self.shape().last().unwrap_or(&0);
-        debug_assert_eq!(out.len(), c, "{}: row width", self.name);
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => h.decode_rows(r, 1, out),
-            (_, Some(q), _) => q.decode_rows(r, 1, out),
-            (_, _, Some(s)) => s.decode_rows(r, 1, out),
-            _ => out.copy_from_slice(&self.value.as_slice()[r * c..(r + 1) * c]),
-        }
+        let b = self.operand();
+        debug_assert_eq!(out.len(), b.cols, "{}: row width", self.name);
+        b.data.decode_row(b.cols, r, out);
     }
 
     /// Add row `r` of the 2-D view into `out`, decoding if reduced-stored
     /// (positional-embedding accumulation).
     pub fn add_row_into(&self, r: usize, out: &mut [f32]) {
-        let c = *self.shape().last().unwrap_or(&0);
-        debug_assert_eq!(out.len(), c, "{}: row width", self.name);
-        match (&self.half, &self.quant, &self.nm) {
-            (Some(h), _, _) => {
-                for (o, &b) in out.iter_mut().zip(h.row_bits(r)) {
-                    *o += f16_bits_to_f32(b);
-                }
-            }
-            (_, Some(q), _) => {
-                let view = q.view();
-                let base = r * c;
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o += view.get(base + j);
-                }
-            }
-            (_, _, Some(s)) => {
-                let view = s.view();
-                let base = r * c;
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o += view.get(base + j);
-                }
-            }
-            _ => {
-                for (o, v) in out
-                    .iter_mut()
-                    .zip(&self.value.as_slice()[r * c..(r + 1) * c])
-                {
-                    *o += v;
-                }
-            }
+        let b = self.operand();
+        debug_assert_eq!(out.len(), b.cols, "{}: row width", self.name);
+        let base = r * b.cols;
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += b.data.get(base + j);
         }
     }
 
@@ -398,15 +263,15 @@ mod tests {
         let mut p = Param::frozen("w", Tensor::randn(&[8, 6], 1.0, 3));
         let before = p.value.clone();
         assert_eq!(p.storage_bytes(), 8 * 6 * 4);
-        p.to_half();
-        assert!(p.is_half());
+        p.demote(Dtype::F16);
+        assert_eq!(p.dtype(), Dtype::F16);
         assert!(p.is_reduced());
         assert_eq!(p.numel(), 48);
         assert_eq!(p.shape(), &[8, 6]);
         assert_eq!(p.storage_bytes(), 8 * 6 * 2);
         assert_eq!(p.value.len(), 0, "f32 buffer must be released");
         p.to_f32();
-        assert!(!p.is_half());
+        assert!(!p.is_reduced());
         // Values round-tripped through f16 rounding.
         for (a, b) in p.value.as_slice().iter().zip(before.as_slice()) {
             assert!((a - b).abs() <= b.abs() * 1e-3 + 1e-7, "{a} vs {b}");
@@ -418,17 +283,15 @@ mod tests {
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
             let mut p = Param::frozen("w", Tensor::randn(&[8, 6], 1.0, 4));
             let before = p.value.clone();
-            p.to_quant(dtype);
-            assert!(p.is_quant());
+            p.demote(dtype);
             assert!(p.is_reduced());
-            assert!(!p.is_half());
             assert_eq!(p.dtype(), dtype);
             assert_eq!(p.numel(), 48);
             assert_eq!(p.shape(), &[8, 6]);
             assert_eq!(p.storage_bytes(), dtype.bytes_for(48));
             assert_eq!(p.value.len(), 0, "f32 buffer must be released");
             // Idempotent at the same dtype.
-            p.to_quant(dtype);
+            p.demote(dtype);
             assert_eq!(p.dtype(), dtype);
             p.to_f32();
             assert!(!p.is_reduced());
@@ -443,11 +306,11 @@ mod tests {
     #[test]
     fn quant_redemotion_switches_codec() {
         let mut p = Param::frozen("w", Tensor::randn(&[4, 4], 1.0, 5));
-        p.to_quant(Dtype::I8Block);
-        p.to_quant(Dtype::Nf4Block);
+        p.demote(Dtype::I8Block);
+        p.demote(Dtype::Nf4Block);
         assert_eq!(p.dtype(), Dtype::Nf4Block);
-        p.to_half();
-        assert!(p.is_half() && !p.is_quant());
+        p.demote(Dtype::F16);
+        assert_eq!(p.dtype(), Dtype::F16);
     }
 
     #[test]
@@ -456,16 +319,16 @@ mod tests {
         // Oracle: the same pruning applied to a dense copy.
         let mut pruned = p.value.as_slice().to_vec();
         lx_tensor::nm::round_slice(&mut pruned, 8, 8, 2, 4);
-        p.to_nm();
-        assert!(p.is_nm() && p.is_reduced() && !p.is_half() && !p.is_quant());
+        p.demote(Dtype::Nm24);
+        assert!(p.is_reduced());
         assert_eq!(p.dtype(), Dtype::Nm24);
         assert_eq!(p.shape(), &[8, 8]);
         assert_eq!(p.numel(), 64);
         assert_eq!(p.storage_bytes(), Dtype::Nm24.bytes_for(64));
         assert_eq!(p.value.len(), 0, "f32 buffer must be released");
         // Idempotent.
-        p.to_nm();
-        assert!(p.is_nm());
+        p.demote(Dtype::Nm24);
+        assert_eq!(p.dtype(), Dtype::Nm24);
         p.to_f32();
         assert!(!p.is_reduced());
         for (a, b) in p.value.as_slice().iter().zip(&pruned) {
@@ -476,20 +339,20 @@ mod tests {
     #[test]
     fn nm_redemotion_crosses_storage_families() {
         let mut p = Param::frozen("w", Tensor::randn(&[4, 8], 1.0, 7));
-        p.to_half();
-        p.to_nm();
-        assert!(p.is_nm() && !p.is_half());
-        p.to_quant(Dtype::I8Block);
-        assert!(p.is_quant() && !p.is_nm());
-        p.to_nm();
-        assert!(p.is_nm() && !p.is_quant());
+        p.demote(Dtype::F16);
+        p.demote(Dtype::Nm24);
+        assert_eq!(p.dtype(), Dtype::Nm24);
+        p.demote(Dtype::I8Block);
+        assert_eq!(p.dtype(), Dtype::I8Block);
+        p.demote(Dtype::Nm24);
+        assert_eq!(p.dtype(), Dtype::Nm24);
     }
 
     #[test]
     #[should_panic(expected = "stay f32")]
     fn trainable_params_cannot_be_nm_pruned() {
         let mut p = Param::new("w", Tensor::zeros(&[2, 4]), true);
-        p.to_nm();
+        p.demote(Dtype::Nm24);
     }
 
     #[test]
@@ -497,10 +360,10 @@ mod tests {
         let x = Tensor::randn(&[5, 8], 1.0, 31);
         let g = Tensor::randn(&[5, 7], 1.0, 32);
         let mut p = Param::frozen("w", Tensor::randn(&[8, 7], 1.0, 33));
-        p.to_nm();
+        p.demote(Dtype::Nm24);
         // The codec is lossless on survivors, so unlike f16/quant the fused
         // path must match the decoded oracle bit for bit.
-        let decoded = Param::frozen("w", p.nm.as_ref().unwrap().to_tensor());
+        let decoded = Param::frozen("w", p.frozen.as_ref().unwrap().to_tensor());
         for (a, b) in p
             .matmul(&x)
             .as_slice()
@@ -523,8 +386,8 @@ mod tests {
     fn nm_row_helpers_decode_bit_identically() {
         let t = Tensor::randn(&[4, 6], 1.0, 34);
         let mut p = Param::frozen("emb", t.clone());
-        p.to_nm();
-        let full = p.nm.as_ref().unwrap().to_f32_vec();
+        p.demote(Dtype::Nm24);
+        let full = p.frozen.as_ref().unwrap().to_f32_vec();
         let mut row = vec![0.0f32; 6];
         p.copy_row_into(2, &mut row);
         for (j, v) in row.iter().enumerate() {
@@ -548,7 +411,7 @@ mod tests {
         let mut p = Param::frozen("w", t);
         // Keep positions {0,1} in row 0's group and {2,3} in row 1's.
         p.to_nm_with_mask(&[0b0011, 0b1100]);
-        let dec = p.nm.as_ref().unwrap().to_f32_vec();
+        let dec = p.frozen.as_ref().unwrap().to_f32_vec();
         assert_eq!(dec, vec![1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]);
     }
 
@@ -556,14 +419,14 @@ mod tests {
     #[should_panic(expected = "stay f32")]
     fn trainable_params_cannot_be_demoted() {
         let mut p = Param::new("w", Tensor::zeros(&[2, 2]), true);
-        p.to_half();
+        p.demote(Dtype::F16);
     }
 
     #[test]
     #[should_panic(expected = "stay f32")]
     fn trainable_params_cannot_be_quantized() {
         let mut p = Param::new("w", Tensor::zeros(&[2, 2]), true);
-        p.to_quant(Dtype::I8Block);
+        p.demote(Dtype::I8Block);
     }
 
     #[test]
@@ -571,9 +434,9 @@ mod tests {
         let x = Tensor::randn(&[5, 8], 1.0, 11);
         let mut p = Param::frozen("w", Tensor::randn(&[8, 7], 1.0, 12));
         let y32 = p.matmul(&x);
-        p.to_half();
+        p.demote(Dtype::F16);
         // Oracle: decode the half weights and run the f32 kernel.
-        let decoded = Param::frozen("w", p.half.as_ref().unwrap().to_tensor());
+        let decoded = Param::frozen("w", p.frozen.as_ref().unwrap().to_tensor());
         let oracle = decoded.matmul(&x);
         let y16 = p.matmul(&x);
         for (a, b) in y16.as_slice().iter().zip(oracle.as_slice()) {
@@ -598,8 +461,8 @@ mod tests {
         let g = Tensor::randn(&[5, 7], 1.0, 22);
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
             let mut p = Param::frozen("w", Tensor::randn(&[8, 7], 1.0, 23));
-            p.to_quant(dtype);
-            let decoded = Param::frozen("w", p.quant.as_ref().unwrap().to_tensor());
+            p.demote(dtype);
+            let decoded = Param::frozen("w", p.frozen.as_ref().unwrap().to_tensor());
             let y = p.matmul(&x);
             let oracle = decoded.matmul(&x);
             for (a, b) in y.as_slice().iter().zip(oracle.as_slice()) {
@@ -626,7 +489,7 @@ mod tests {
         let mut row32 = vec![0.0f32; 6];
         p.copy_row_into(2, &mut row32);
         assert_eq!(row32, t.row(2));
-        p.to_half();
+        p.demote(Dtype::F16);
         let mut row16 = vec![0.0f32; 6];
         p.copy_row_into(2, &mut row16);
         for (a, b) in row16.iter().zip(t.row(2)) {
@@ -646,8 +509,8 @@ mod tests {
         let t = Tensor::randn(&[4, 6], 1.0, 10);
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
             let mut p = Param::frozen("emb", t.clone());
-            p.to_quant(dtype);
-            let full = p.quant.as_ref().unwrap().to_f32_vec();
+            p.demote(dtype);
+            let full = p.frozen.as_ref().unwrap().to_f32_vec();
             let mut row = vec![0.0f32; 6];
             p.copy_row_into(2, &mut row);
             for (j, v) in row.iter().enumerate() {

@@ -6,9 +6,9 @@
 //! tables) are demoted to half storage, while everything numerically
 //! sensitive — biases, LayerNorm affine parameters, trainable PEFT adapters,
 //! gradients and optimizer state — stays f32. Compute is f32 throughout;
-//! the f16 bits are decoded inside the GEMM pack routines (see
-//! `lx_kernels::KernelBackend::gemm_f16`), so storage is halved without a
-//! half-arithmetic path.
+//! the f16 bits are decoded inside the GEMM pack routines (an f16
+//! `lx_kernels::BOperand`), so storage is halved without a half-arithmetic
+//! path.
 //!
 //! [`Precision::Int8Frozen`] and [`Precision::Nf4Frozen`] push the same
 //! recipe past f16 with the `lx-quant` block codecs (QLoRA lineage): frozen
@@ -25,6 +25,8 @@
 //! f16 does (see the precision-differential loss envelopes in
 //! `tests/tests/precision_differential.rs`), but the adapters still train
 //! because they — and all gradients — stay f32.
+
+use lx_tensor::Dtype;
 
 /// Storage plan for a model's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,6 +56,18 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// Storage dtype of the frozen backbone matrices (`None` for the
+    /// all-f32 plan).
+    pub const fn frozen_dtype(self) -> Option<Dtype> {
+        match self {
+            Precision::F32 => None,
+            Precision::F16Frozen => Some(Dtype::F16),
+            Precision::Int8Frozen => Some(Dtype::I8Block),
+            Precision::Nf4Frozen => Some(Dtype::Nf4Block),
+            Precision::Nm24Frozen => Some(Dtype::Nm24),
+        }
+    }
+
     pub const fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",

@@ -34,7 +34,7 @@ pub fn mask_violation_total() -> u64 {
 /// The N:M group mask of a structured-sparse-stored weight, captured before
 /// the merge promotes it to f32 (which discards the stored mask).
 fn captured_nm_mask(p: &Param) -> Option<Vec<u8>> {
-    p.nm.as_ref().map(|s| s.masks().to_vec())
+    p.frozen.as_ref()?.masks().map(<[u8]>::to_vec)
 }
 
 /// Project a merged (dense f32) weight back onto its pre-merge N:M mask and
@@ -272,8 +272,8 @@ mod tests {
         // Capture every nm weight's mask before the merge.
         let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
         m.for_each_param(&mut |p| {
-            if let Some(s) = &p.nm {
-                masks_before.push((p.name.clone(), s.masks().to_vec()));
+            if let Some(masks) = p.frozen.as_ref().and_then(|s| s.masks()) {
+                masks_before.push((p.name.clone(), masks.to_vec()));
             }
         });
         assert!(!masks_before.is_empty(), "backbone must be nm-stored");
@@ -297,10 +297,12 @@ mod tests {
         let mut checked = 0;
         m.for_each_param(&mut |p| {
             if let Some(expect) = before.get(&p.name) {
-                let s =
-                    p.nm.as_ref()
-                        .unwrap_or_else(|| panic!("{}: merged weight must stay nm-stored", p.name));
-                assert_eq!(s.masks(), &expect[..], "{}: mask changed", p.name);
+                let s = p
+                    .frozen
+                    .as_ref()
+                    .filter(|s| s.dtype() == lx_tensor::Dtype::Nm24)
+                    .unwrap_or_else(|| panic!("{}: merged weight must stay nm-stored", p.name));
+                assert_eq!(s.masks(), Some(&expect[..]), "{}: mask changed", p.name);
                 let mut dense = s.to_f32_vec();
                 let shape = p.shape();
                 let (rows, cols) = (

@@ -28,7 +28,7 @@
 //!
 //! This crate has zero dependencies; `lx-kernels` consumes the borrowed
 //! views ([`Q8View`] / [`Q4View`]) inside its pack routines and `lx-tensor`
-//! owns the allocation/accounting side (`QuantTensor`).
+//! owns the allocation/accounting side (`FrozenTensor`).
 
 pub mod nf4;
 pub mod nm;

@@ -73,7 +73,7 @@ pub fn step_memory(
 
 /// Bytes the backbone occupies when `count` parameters are stored at
 /// `dtype` — [`Dtype::bytes_for`], so the block-quantized dtypes include
-/// their per-block scales exactly as `QuantTensor` registers them.
+/// their per-block scales exactly as `FrozenTensor` registers them.
 fn param_bytes(count: f64, dtype: Dtype) -> f64 {
     dtype.bytes_for(count as usize) as f64
 }
@@ -99,8 +99,8 @@ pub fn step_memory_at(
     let v = cfg.vocab_size as f64;
     let n_params = cfg.param_count() as f64;
     // Element sizes come from the storage layer's dtype table, not local
-    // constants, so this model cannot drift from what `HalfTensor`/
-    // `QuantTensor`/`Tensor` actually occupy (and register with memtrack).
+    // constants, so this model cannot drift from what `FrozenTensor`/
+    // `Tensor` actually occupy (and register with memtrack).
     let f32b = Dtype::F32.size_bytes() as f64;
 
     // Parameters at the frozen-storage dtype. In optimal mode, frozen MLP

@@ -12,31 +12,26 @@
 //! [`Dtype::size_bytes`] stays for the byte-per-element dtypes and reports
 //! the rounded-up code byte for the quantized ones.
 
-/// Storage precision of a tensor buffer.
+/// Storage precision of a tensor buffer. The reduced dtypes are the codecs
+/// of [`FrozenTensor`](crate::FrozenTensor). Variants are declared in the
+/// order of the kernel-side [`BOperand`](lx_kernels::BOperand) kinds, whose
+/// table owns the names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// IEEE binary32 — all compute, activations, gradients, optimizer state.
     F32,
-    /// IEEE binary16 — frozen-parameter storage ([`HalfTensor`]).
-    ///
-    /// [`HalfTensor`]: crate::f16::HalfTensor
+    /// IEEE binary16 — frozen-parameter storage.
     F16,
     /// Symmetric int8 with one f32 absmax scale per 64-element block
-    /// ([`QuantTensor`] storage; codecs in `lx-quant`).
-    ///
-    /// [`QuantTensor`]: crate::quant::QuantTensor
+    /// (codecs in `lx-quant`).
     I8Block,
     /// NF4 4-bit normal-float codes, two per byte, one f32 absmax scale per
-    /// 64-element block ([`QuantTensor`] storage).
-    ///
-    /// [`QuantTensor`]: crate::quant::QuantTensor
+    /// 64-element block.
     Nf4Block,
     /// 2:4 structured sparsity: per row-group of 4 elements keep 2, stored
-    /// as compacted f32s plus one index-bitmask byte per group
-    /// ([`NmTensor`] storage; codec in `lx-quant`). Kept values are stored
-    /// bit-exactly — the dtype is lossless on survivors.
-    ///
-    /// [`NmTensor`]: crate::nm::NmTensor
+    /// as compacted f32s plus one index-bitmask byte per group (codec in
+    /// `lx-quant`). Kept values are stored bit-exactly — the dtype is
+    /// lossless on survivors.
     Nm24,
 }
 
@@ -67,7 +62,7 @@ impl Dtype {
             // Flat view (one logical row): 2 compacted f32s per full group
             // of 4 plus one mask byte per group. Exact whenever the matrix
             // row length is a multiple of 4 (tail groups are per-row;
-            // `NmTensor::bytes` accounts for them exactly).
+            // `FrozenTensor::bytes` accounts for them exactly).
             Dtype::Nm24 => {
                 lx_quant::nm::slots_per_row(numel, 2, 4) * 4
                     + lx_quant::nm::groups_per_row(numel, 4)
@@ -75,14 +70,10 @@ impl Dtype {
         }
     }
 
+    /// The storage name: the `dtype` label of the GEMM metrics and of a
+    /// persisted autotune policy.
     pub const fn name(self) -> &'static str {
-        match self {
-            Dtype::F32 => "f32",
-            Dtype::F16 => "f16",
-            Dtype::I8Block => "i8-block",
-            Dtype::Nf4Block => "nf4-block",
-            Dtype::Nm24 => "nm-2:4",
-        }
+        lx_kernels::BOperand::DTYPES[self as usize]
     }
 }
 
@@ -103,6 +94,28 @@ mod tests {
         assert_eq!(Dtype::F16.to_string(), "f16");
         assert_eq!(Dtype::I8Block.to_string(), "i8-block");
         assert_eq!(Dtype::Nf4Block.to_string(), "nf4-block");
+    }
+
+    #[test]
+    fn names_come_from_the_kernel_operand_table() {
+        use lx_kernels::{BOperand, NmView, Q4View, Q8View};
+        let operands = [
+            BOperand::F32(&[]),
+            BOperand::F16(&[]),
+            BOperand::Q8(Q8View::new(&[], &[])),
+            BOperand::Q4(Q4View::new(&[], &[], 0)),
+            BOperand::Nm(NmView::new(&[], &[], 0, 0, 2, 4)),
+        ];
+        let dtypes = [
+            Dtype::F32,
+            Dtype::F16,
+            Dtype::I8Block,
+            Dtype::Nf4Block,
+            Dtype::Nm24,
+        ];
+        for (op, dtype) in operands.iter().zip(dtypes) {
+            assert_eq!(op.dtype(), dtype.name());
+        }
     }
 
     #[test]

@@ -1,148 +1,18 @@
-//! Half-precision (IEEE binary16) storage.
+//! Half-precision (IEEE binary16) conversions.
 //!
 //! The paper fine-tunes with mixed precision: FP16 parameters, FP32 compute
-//! (§VII-A). This reproduction keeps all *arithmetic* in f32 (CPU half
-//! arithmetic would distort timings) but stores frozen parameters as
-//! [`HalfTensor`] — contiguous `u16` bits, 2 bytes per element, registered
-//! with [`memtrack`] at their true footprint — and decodes
-//! to f32 on load. The fused f16-input GEMMs in `lx-kernels` consume the raw
-//! bits directly, so the decode happens inside the pack routines rather than
-//! via a materialised f32 copy.
-//!
-//! The conversion primitives are canonical in [`lx_kernels::half`] (the
-//! kernels must agree with the storage layer on rounding); this module
-//! re-exports them for callers that only depend on `lx-tensor`.
-
-use crate::memtrack;
-use crate::Tensor;
+//! (§VII-A). Frozen parameters stored at half precision live in a
+//! [`FrozenTensor`](crate::FrozenTensor); the conversion primitives are
+//! canonical in [`lx_kernels::half`] (the kernels must agree with the
+//! storage layer on rounding), and this module re-exports them for callers
+//! that only depend on `lx-tensor`.
 
 pub use lx_kernels::half::{f16_bits_to_f32, f32_to_f16_bits, round_f16};
-
-/// A tensor stored at half precision: row-major `u16` f16 bits plus a shape.
-///
-/// Reads decompress to f32; the buffer reports its true (2-byte-per-element)
-/// footprint to the memory tracker, which is what makes the Fig. 8 measured
-/// memory experiments honest about mixed-precision storage.
-#[derive(Debug)]
-pub struct HalfTensor {
-    bits: Vec<u16>,
-    shape: Vec<usize>,
-}
-
-impl HalfTensor {
-    /// Encode an f32 slice (round-to-nearest-even). Panics if the length
-    /// does not match the shape.
-    pub fn from_f32(values: &[f32], shape: &[usize]) -> Self {
-        let len: usize = shape.iter().product();
-        assert_eq!(
-            values.len(),
-            len,
-            "data length {} does not match shape {:?}",
-            values.len(),
-            shape
-        );
-        let bits = lx_kernels::half::encode_slice(values);
-        memtrack::register(bits.capacity() * 2);
-        HalfTensor {
-            bits,
-            shape: shape.to_vec(),
-        }
-    }
-
-    /// Encode a dense tensor into half storage.
-    pub fn from_tensor(t: &Tensor) -> Self {
-        Self::from_f32(t.as_slice(), t.shape())
-    }
-
-    /// Decode the whole buffer into a fresh f32 tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let mut out = Tensor::zeros(&self.shape);
-        lx_kernels::half::decode_slice(&self.bits, out.as_mut_slice());
-        out
-    }
-
-    /// Decode the whole buffer into a plain `Vec<f32>`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        self.bits.iter().map(|&b| f16_bits_to_f32(b)).collect()
-    }
-
-    /// Raw f16 bits (row-major) — what the fused f16 GEMMs consume.
-    pub fn bits(&self) -> &[u16] {
-        &self.bits
-    }
-
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Number of rows when viewed as 2-D (product of all but the last dim).
-    pub fn rows(&self) -> usize {
-        if self.shape.is_empty() {
-            0
-        } else {
-            self.len() / self.cols()
-        }
-    }
-
-    /// Size of the last dimension.
-    pub fn cols(&self) -> usize {
-        *self.shape.last().unwrap_or(&0)
-    }
-
-    /// Raw bits of row `r` of the 2-D view.
-    pub fn row_bits(&self, r: usize) -> &[u16] {
-        let c = self.cols();
-        &self.bits[r * c..(r + 1) * c]
-    }
-
-    /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
-    /// (`n_rows × cols`, contiguous). This is the load path for embedding
-    /// lookups and active-neuron-slab gathers.
-    pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {
-        let c = self.cols();
-        lx_kernels::half::decode_slice(&self.bits[r0 * c..(r0 + n_rows) * c], out);
-    }
-
-    /// Bytes occupied by the half-precision storage.
-    pub fn bytes(&self) -> usize {
-        self.bits.len() * 2
-    }
-}
-
-impl Clone for HalfTensor {
-    fn clone(&self) -> Self {
-        let bits = self.bits.clone();
-        memtrack::register(bits.capacity() * 2);
-        HalfTensor {
-            bits,
-            shape: self.shape.clone(),
-        }
-    }
-}
-
-impl Drop for HalfTensor {
-    fn drop(&mut self) {
-        memtrack::unregister(self.bits.capacity() * 2);
-    }
-}
-
-impl PartialEq for HalfTensor {
-    fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.bits == other.bits
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dtype, FrozenTensor, Tensor};
 
     #[test]
     fn exact_small_values_roundtrip() {
@@ -258,7 +128,7 @@ mod tests {
     fn half_tensor_accounting_and_roundtrip() {
         let vals = vec![1.0f32, 2.5, -3.25, 0.0];
         let before = crate::memtrack::current_bytes();
-        let buf = HalfTensor::from_f32(&vals, &[2, 2]);
+        let buf = FrozenTensor::from_f32(&vals, &[2, 2], Dtype::F16);
         assert_eq!(buf.bytes(), 8);
         assert_eq!(crate::memtrack::current_bytes() - before, 8);
         assert_eq!(buf.to_f32_vec(), vals);
@@ -275,18 +145,18 @@ mod tests {
     #[test]
     fn decode_rows_matches_full_decode() {
         let t = Tensor::randn(&[6, 5], 1.0, 7);
-        let h = HalfTensor::from_tensor(&t);
+        let h = FrozenTensor::from_tensor(&t, Dtype::F16);
         let full = h.to_f32_vec();
         let mut window = vec![0.0f32; 2 * 5];
         h.decode_rows(3, 2, &mut window);
         assert_eq!(window, &full[15..25]);
-        assert_eq!(h.row_bits(1).len(), 5);
+        assert_eq!(h.cols(), 5);
     }
 
     #[test]
     fn clone_registers_its_own_buffer() {
         let before = crate::memtrack::current_bytes();
-        let a = HalfTensor::from_f32(&[1.0; 10], &[10]);
+        let a = FrozenTensor::from_f32(&[1.0; 10], &[10], Dtype::F16);
         let b = a.clone();
         assert_eq!(crate::memtrack::current_bytes() - before, 2 * 10 * 2);
         assert_eq!(a, b);

@@ -2,19 +2,32 @@
 //!
 //! These used to be hand-written `i-k-j` loop kernels; they now live in
 //! `lx-kernels` as the [`Reference`](lx_kernels::Reference) backend, and the
-//! functions here are thin dispatching wrappers (plus the `Tensor`-level
-//! `matmul*` convenience forms). Layout conventions are unchanged: row-major
-//! everywhere, with `_nt`/`_tn` variants so callers never materialise
-//! transposes in the hot path. Which kernel actually runs — the reference
-//! loops or the packed/tiled microkernels — is decided per call by the
-//! dispatcher (see `lx_kernels::dispatch`).
+//! functions here build [`Gemm`] descriptors for the process-wide backend
+//! (plus the `Tensor`-level `matmul*` convenience forms). Layout conventions
+//! are unchanged: row-major everywhere, with `_nt`/`_tn` variants so callers
+//! never materialise transposes in the hot path. Which kernel actually runs —
+//! the reference loops or the packed/tiled microkernels — is decided per
+//! call by the dispatcher (see `lx_kernels::dispatch`).
+//!
+//! [`matmul_operand`] is the one product over a B operand in *any* storage
+//! (f32 or a [`FrozenTensor`](crate::FrozenTensor) codec), either layout,
+//! with an optional fused [`Epilogue`].
 
-use crate::f16::HalfTensor;
-use crate::quant::{QuantTensor, QuantView};
 use crate::Tensor;
-// Fused post-GEMM epilogue (bias / bias+GELU at write-back); re-exported so
-// model-layer callers can request fusion without a direct lx-kernels dep.
-pub use lx_kernels::Epilogue;
+use lx_kernels::Gemm;
+// Re-exported so model-layer callers can request fused epilogues and name
+// operand storage without a direct lx-kernels dep.
+pub use lx_kernels::{BOperand, Epilogue};
+
+/// A borrowed 2-D right-hand operand in any storage: its payload and the
+/// stored `rows × cols` shape (row-major). Built by [`Tensor::operand`] and
+/// [`FrozenTensor::operand`](crate::FrozenTensor::operand).
+#[derive(Clone, Copy, Debug)]
+pub struct Operand<'a> {
+    pub data: BOperand<'a>,
+    pub rows: usize,
+    pub cols: usize,
+}
 
 /// `C[m,n] = A[m,k] · B[k,n] + beta·C`.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
@@ -29,7 +42,8 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), m * k, "gemm_nt: A size");
     assert_eq!(b.len(), n * k, "gemm_nt: B size");
     assert_eq!(c.len(), m * n, "gemm_nt: C size");
-    lx_kernels::gemm_nt(m, k, n, a, b, c, beta);
+    let g = Gemm::nt(m, k, n, a, k.max(1), b, k.max(1)).beta(beta);
+    lx_kernels::backend().gemm(&g, c, n.max(1));
 }
 
 /// `C[m,n] = A[k,m]ᵀ · B[k,n] + beta·C` — A stored row-major as `k×m`.
@@ -40,384 +54,53 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), k * m, "gemm_tn: A size");
     assert_eq!(b.len(), k * n, "gemm_tn: B size");
     assert_eq!(c.len(), m * n, "gemm_tn: C size");
-    lx_kernels::gemm_tn(m, k, n, a, b, c, beta);
+    let g = Gemm::tn(m, k, n, a, m.max(1), b, n.max(1)).beta(beta);
+    lx_kernels::backend().gemm(&g, c, n.max(1));
 }
 
 /// Tensor-level wrapper: `A[m,k] · B[k,n]` on the trailing-2-D views.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0.0);
-    c
+    matmul_operand(a, b.operand(), false, Epilogue::None)
 }
 
 /// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_nt(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0.0);
-    c
+    matmul_operand(a, b.operand(), true, Epilogue::None)
 }
 
-/// [`matmul`] with a fused [`Epilogue`] applied at kernel write-back —
-/// bit-identical to `matmul` followed by the equivalent bias/activation
-/// passes, minus those passes' memory traffic.
-pub fn matmul_ep(a: &Tensor, b: &Tensor, ep: Epilogue<'_>) -> Tensor {
+/// `A[m,k] · B` — or `A[m,k] · Bᵀ` when `b_trans` (B stored `n×k`) — with B
+/// in any storage and `ep` fused into the kernel write-back.
+///
+/// A reduced-storage B is decoded inside the kernel (pack-time for the
+/// packed backend) and all accumulation stays f32, so the result matches
+/// decoding B up front and multiplying — bit-identically for the lossless
+/// N:M codec. The fused epilogue is bit-identical to the plain product
+/// followed by the equivalent bias/activation passes, minus those passes'
+/// memory traffic.
+pub fn matmul_operand(a: &Tensor, b: Operand<'_>, b_trans: bool, ep: Epilogue<'_>) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
+    let (kb, n) = if b_trans {
+        (b.cols, b.rows)
+    } else {
+        (b.rows, b.cols)
+    };
     assert_eq!(
         k,
         kb,
-        "matmul_ep inner dims: {:?} x {:?}",
+        "matmul inner dims: {:?} x {}x{}{} ({})",
         a.shape(),
-        b.shape()
+        b.rows,
+        b.cols,
+        if b_trans { "ᵀ" } else { "" },
+        b.data.dtype()
     );
     let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_nt_ep(a: &Tensor, b: &Tensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored at half
-/// precision**. B's f16 bits are decoded to f32 inside the kernel (pack-time
-/// for the packed backend); all accumulation stays f32.
-pub fn matmul_f16(a: &Tensor, b: &HalfTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_f16 inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_f16(m, k, n, a.as_slice(), b.bits(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored at half
-/// precision**. Same mixed-precision contract as [`matmul_f16`].
-pub fn matmul_nt_f16(a: &Tensor, b: &HalfTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_f16 inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_f16(m, k, n, a.as_slice(), b.bits(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// [`matmul_f16`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_f16_ep(a: &Tensor, b: &HalfTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_f16_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let ld = n.max(1);
-    lx_kernels::backend().gemm_f16_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.bits(),
-        ld,
-        c.as_mut_slice(),
-        ld,
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt_f16`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_f16_ep(a: &Tensor, b: &HalfTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_f16_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::backend().gemm_nt_f16_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.bits(),
-        k.max(1),
-        c.as_mut_slice(),
-        n.max(1),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored block-quantized**
-/// (int8 or NF4). B dequantizes to f32 inside the kernel (pack-time for the
-/// packed backend); all accumulation stays f32, so the result matches
-/// dequantizing B up front and calling [`matmul`].
-pub fn matmul_quant(a: &Tensor, b: &QuantTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_quant inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::gemm_q8(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-        QuantView::Nf4(v) => lx_kernels::gemm_q4(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-    }
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored
-/// block-quantized**. Same mixed-precision contract as [`matmul_quant`].
-pub fn matmul_nt_quant(a: &Tensor, b: &QuantTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_quant inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::gemm_nt_q8(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-        QuantView::Nf4(v) => {
-            lx_kernels::gemm_nt_q4(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0)
-        }
-    }
-    c
-}
-
-/// [`matmul_quant`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_quant_ep(a: &Tensor, b: &QuantTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_quant_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let (lda, ld) = (k.max(1), n.max(1));
-    let cs = c.as_mut_slice();
-    match b.view() {
-        QuantView::I8(v) => {
-            lx_kernels::backend().gemm_q8_ep(m, k, n, a.as_slice(), lda, v, ld, cs, ld, 0.0, ep)
-        }
-        QuantView::Nf4(v) => {
-            lx_kernels::backend().gemm_q4_ep(m, k, n, a.as_slice(), lda, v, ld, cs, ld, 0.0, ep)
-        }
-    }
-    c
-}
-
-/// [`matmul_nt_quant`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_quant_ep(a: &Tensor, b: &QuantTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_quant_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let (lda, ldc) = (k.max(1), n.max(1));
-    let cs = c.as_mut_slice();
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::backend().gemm_nt_q8_ep(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            lda,
-            v,
-            lda,
-            cs,
-            ldc,
-            0.0,
-            ep,
-        ),
-        QuantView::Nf4(v) => lx_kernels::backend().gemm_nt_q4_ep(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            lda,
-            v,
-            lda,
-            cs,
-            ldc,
-            0.0,
-            ep,
-        ),
-    }
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored N:M
-/// structured-sparse** (2:4). The codec keeps surviving values bit-exactly,
-/// so — unlike the quantized forms — the result is bit-identical to decoding
-/// B up front and calling [`matmul`]; the packed backend additionally skips
-/// all-zero groups at pack time.
-pub fn matmul_nm(a: &Tensor, b: &crate::NmTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nm inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nm(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored N:M
-/// structured-sparse** (2:4) — the pruned-backbone forward shape, where the
-/// sparse axis is the reduction axis. Same bit-exactness contract as
-/// [`matmul_nm`].
-pub fn matmul_nt_nm(a: &Tensor, b: &crate::NmTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_nm inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_nm(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// [`matmul_nm`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_nm_ep(a: &Tensor, b: &crate::NmTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nm_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let ld = n.max(1);
-    lx_kernels::backend().gemm_nm_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.view(),
-        ld,
-        c.as_mut_slice(),
-        ld,
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt_nm`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_nm_ep(a: &Tensor, b: &crate::NmTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_nm_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_nm_ep(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0, ep);
+    let (lda, ldb) = (k.max(1), if b_trans { k } else { n }.max(1));
+    let g = Gemm {
+        b_trans,
+        ..Gemm::nn(m, k, n, a.as_slice(), lda, b.data, ldb)
+    };
+    lx_kernels::backend().gemm(&g.epilogue(ep), c.as_mut_slice(), n.max(1));
     c
 }
 
@@ -547,42 +230,42 @@ mod tests {
 
     #[test]
     fn quant_matmuls_match_dequant_up_front() {
-        use crate::Dtype;
+        use crate::{Dtype, FrozenTensor};
         let a = Tensor::randn(&[7, 33], 1.0, 15);
         let b = Tensor::randn(&[33, 9], 1.0, 16);
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
-            let q = QuantTensor::from_tensor(&b, dtype);
+            let q = FrozenTensor::from_tensor(&b, dtype);
             let oracle = matmul(&a, &q.to_tensor());
-            let c = matmul_quant(&a, &q);
+            let c = matmul_operand(&a, q.operand(), false, Epilogue::None);
             assert_close(c.as_slice(), oracle.as_slice(), 1e-4);
-            let qt = QuantTensor::from_tensor(&b.transposed_2d(), dtype);
+            let qt = FrozenTensor::from_tensor(&b.transposed_2d(), dtype);
             let oracle_nt = matmul_nt(&a, &qt.to_tensor());
-            let c_nt = matmul_nt_quant(&a, &qt);
+            let c_nt = matmul_operand(&a, qt.operand(), true, Epilogue::None);
             assert_close(c_nt.as_slice(), oracle_nt.as_slice(), 1e-4);
         }
     }
 
     #[test]
     fn nm_matmuls_are_bit_identical_to_decode_up_front() {
-        use crate::{Dtype, NmTensor};
+        use crate::{Dtype, FrozenTensor};
         let a = Tensor::randn(&[7, 36], 1.0, 40);
         let b = Tensor::randn(&[36, 9], 1.0, 41);
-        let nm = NmTensor::from_tensor(&b, Dtype::Nm24);
+        let nm = FrozenTensor::from_tensor(&b, Dtype::Nm24);
         let oracle = matmul(&a, &nm.to_tensor());
-        let c = matmul_nm(&a, &nm);
+        let c = matmul_operand(&a, nm.operand(), false, Epilogue::None);
         for (x, y) in c.as_slice().iter().zip(oracle.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        let nmt = NmTensor::from_tensor(&b.transposed_2d(), Dtype::Nm24);
+        let nmt = FrozenTensor::from_tensor(&b.transposed_2d(), Dtype::Nm24);
         let oracle_nt = matmul_nt(&a, &nmt.to_tensor());
-        let c_nt = matmul_nt_nm(&a, &nmt);
+        let c_nt = matmul_operand(&a, nmt.operand(), true, Epilogue::None);
         for (x, y) in c_nt.as_slice().iter().zip(oracle_nt.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // Fused epilogue form against its own unfused twin.
         let bias = crate::rng::randn_vec(9, 1.0, 42);
-        let fused = matmul_nt_nm_ep(&a, &nmt, Epilogue::Bias(&bias));
-        let mut unfused = matmul_nt_nm(&a, &nmt);
+        let fused = matmul_operand(&a, nmt.operand(), true, Epilogue::Bias(&bias));
+        let mut unfused = matmul_operand(&a, nmt.operand(), true, Epilogue::None);
         crate::ops::add_bias_rows(&mut unfused, &bias);
         for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
             assert_eq!(f.to_bits(), u.to_bits());
@@ -596,21 +279,21 @@ mod tests {
         let b = Tensor::randn(&[33, 12], 1.0, 18);
         let bias = crate::rng::randn_vec(12, 1.0, 19);
         // Bias-only fusion.
-        let fused = matmul_ep(&a, &b, Epilogue::Bias(&bias));
+        let fused = matmul_operand(&a, b.operand(), false, Epilogue::Bias(&bias));
         let mut unfused = matmul(&a, &b);
         add_bias_rows(&mut unfused, &bias);
         for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
             assert_eq!(f.to_bits(), u.to_bits());
         }
         // Bias+GELU fusion.
-        let fused = matmul_ep(&a, &b, Epilogue::BiasGelu(&bias));
+        let fused = matmul_operand(&a, b.operand(), false, Epilogue::BiasGelu(&bias));
         gelu_inplace(unfused.as_mut_slice());
         for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
             assert_eq!(f.to_bits(), u.to_bits());
         }
         // nt form against its own unfused twin.
         let bt = b.transposed_2d();
-        let fused_nt = matmul_nt_ep(&a, &bt, Epilogue::Bias(&bias));
+        let fused_nt = matmul_operand(&a, bt.operand(), true, Epilogue::Bias(&bias));
         let mut unfused_nt = matmul_nt(&a, &bt);
         add_bias_rows(&mut unfused_nt, &bias);
         for (f, u) in fused_nt.as_slice().iter().zip(unfused_nt.as_slice()) {

@@ -7,18 +7,16 @@
 
 mod dtype;
 pub mod f16;
+mod frozen;
 pub mod gemm;
 pub mod memtrack;
 pub mod nm;
 pub mod ops;
-pub mod quant;
 pub mod rng;
 mod tensor;
 pub mod workspace;
 
 pub use dtype::Dtype;
-pub use f16::HalfTensor;
-pub use nm::NmTensor;
-pub use quant::{QuantTensor, QuantView};
+pub use frozen::FrozenTensor;
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};

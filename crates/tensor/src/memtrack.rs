@@ -11,7 +11,7 @@
 //! * **Live bytes** ([`current_bytes`] / [`peak_bytes`]): how much buffer
 //!   memory tensors hold right now, whatever its provenance.
 //! * **Fresh-allocation counters** ([`alloc_stats`]): how many *new* heap
-//!   buffers `Tensor`/`HalfTensor` constructors created, and their bytes.
+//!   buffers `Tensor`/`FrozenTensor` constructors created, and their bytes.
 //!   Buffers recycled through a [`crate::Workspace`] register live bytes but
 //!   do **not** advance these counters — which is exactly what makes
 //!   "zero heap tensor allocations in a steady-state step" an assertable
@@ -66,7 +66,7 @@ pub fn reset_peak() -> usize {
 /// do work, and ask [`AllocStats::since`] what was newly heap-allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocStats {
-    /// Fresh buffers `Tensor`/`HalfTensor` constructors heap-allocated.
+    /// Fresh buffers `Tensor`/`FrozenTensor` constructors heap-allocated.
     pub count: usize,
     /// Their total bytes (at allocation capacity).
     pub bytes: usize,

@@ -130,6 +130,16 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The trailing-2-D view as a GEMM right-hand operand (see
+    /// [`matmul_operand`](crate::gemm::matmul_operand)).
+    pub fn operand(&self) -> crate::gemm::Operand<'_> {
+        crate::gemm::Operand {
+            data: crate::gemm::BOperand::F32(&self.data),
+            rows: self.rows(),
+            cols: self.cols(),
+        }
+    }
+
     /// Reinterpret the shape without moving data.
     pub fn reshape(&mut self, shape: &[usize]) {
         let len: usize = shape.iter().product();

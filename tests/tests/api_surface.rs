@@ -1,8 +1,9 @@
 //! Hand-rolled public-API snapshot: the `pub fn` / `pub struct` / `pub enum`
-//! / `pub trait` / `pub use` surface of `lx-model`, `lx-core` and `lx-serve`
-//! is extracted from the sources and compared against a committed baseline
+//! / `pub trait` / `pub use` surface of the crates in [`CRATES`] is extracted
+//! from the sources and compared against a committed baseline
 //! (`tests/api/public_api.txt`). Unreviewed drift — a forgotten `pub`, a
-//! resurrected legacy entry point, a renamed builder — fails CI.
+//! resurrected legacy entry point, a renamed builder, one more per-dtype GEMM
+//! variant — fails CI.
 //!
 //! To accept an intentional change, regenerate the baseline:
 //!
@@ -18,6 +19,8 @@ use std::path::{Path, PathBuf};
 const CRATES: &[(&str, &str)] = &[
     ("lx-obs", "crates/obs/src"),
     ("lx-quant", "crates/quant/src"),
+    ("lx-kernels", "crates/kernels/src"),
+    ("lx-tensor", "crates/tensor/src"),
     ("lx-model", "crates/model/src"),
     ("lx-core", "crates/core/src"),
     ("lx-serve", "crates/serve/src"),

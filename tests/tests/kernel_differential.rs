@@ -7,7 +7,7 @@
 //! Shape axes are seeded sweeps, not proptest: the workspace is offline, and
 //! deterministic sweeps reproduce exactly in CI.
 
-use lx_kernels::{Epilogue, KernelBackend, MR, NR, PACKED, REFERENCE};
+use lx_kernels::{BOperand, Epilogue, Gemm, KernelBackend, MR, NR, PACKED, REFERENCE};
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
 use lx_sparse::patterns::PatternSpec;
@@ -49,28 +49,14 @@ fn packed_matches_reference_on_gemm_shape_sweep() {
                 let mut c_packed = c_ref.clone();
                 // beta = 0.5 checks both the product and the C pre-scaling.
                 REFERENCE.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &b,
-                    n.max(1),
+                    &Gemm::nn(m, k, n, &a, k.max(1), &b[..], n.max(1)).beta(0.5),
                     &mut c_ref,
                     n.max(1),
-                    0.5,
                 );
                 PACKED.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &b,
-                    n.max(1),
+                    &Gemm::nn(m, k, n, &a, k.max(1), &b[..], n.max(1)).beta(0.5),
                     &mut c_packed,
                     n.max(1),
-                    0.5,
                 );
                 assert_close(&format!("gemm {m}x{k}x{n}"), &c_packed, &c_ref);
             }
@@ -90,29 +76,15 @@ fn packed_matches_reference_on_nt_tn_sweep() {
                 let b_nt = randn_vec(n * k, 1.0, seed + 1000);
                 let mut c_ref = vec![0.0; m * n];
                 let mut c_packed = vec![0.0; m * n];
-                REFERENCE.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a_nt,
-                    k.max(1),
-                    &b_nt,
-                    k.max(1),
+                REFERENCE.gemm(
+                    &Gemm::nt(m, k, n, &a_nt, k.max(1), &b_nt[..], k.max(1)),
                     &mut c_ref,
                     n.max(1),
-                    0.0,
                 );
-                PACKED.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a_nt,
-                    k.max(1),
-                    &b_nt,
-                    k.max(1),
+                PACKED.gemm(
+                    &Gemm::nt(m, k, n, &a_nt, k.max(1), &b_nt[..], k.max(1)),
                     &mut c_packed,
                     n.max(1),
-                    0.0,
                 );
                 assert_close(&format!("gemm_nt {m}x{k}x{n}"), &c_packed, &c_ref);
 
@@ -120,29 +92,15 @@ fn packed_matches_reference_on_nt_tn_sweep() {
                 let b_tn = randn_vec(k * n, 1.0, seed + 3000);
                 let mut c_ref = randn_vec(m * n, 1.0, seed + 4000);
                 let mut c_packed = c_ref.clone();
-                REFERENCE.gemm_tn(
-                    m,
-                    k,
-                    n,
-                    &a_tn,
-                    m.max(1),
-                    &b_tn,
-                    n.max(1),
+                REFERENCE.gemm(
+                    &Gemm::tn(m, k, n, &a_tn, m.max(1), &b_tn, n.max(1)).beta(1.0),
                     &mut c_ref,
                     n.max(1),
-                    1.0,
                 );
-                PACKED.gemm_tn(
-                    m,
-                    k,
-                    n,
-                    &a_tn,
-                    m.max(1),
-                    &b_tn,
-                    n.max(1),
+                PACKED.gemm(
+                    &Gemm::tn(m, k, n, &a_tn, m.max(1), &b_tn, n.max(1)).beta(1.0),
                     &mut c_packed,
                     n.max(1),
-                    1.0,
                 );
                 assert_close(&format!("gemm_tn {m}x{k}x{n}"), &c_packed, &c_ref);
             }
@@ -161,37 +119,31 @@ fn packed_matches_reference_on_strided_views() {
         let a_win = &act[block * b..];
         let mut c_ref = vec![0.0; rows * d];
         let mut c_packed = vec![0.0; rows * d];
-        REFERENCE.gemm(rows, b, d, a_win, width, &w, d, &mut c_ref, d, 0.0);
-        PACKED.gemm(rows, b, d, a_win, width, &w, d, &mut c_packed, d, 0.0);
+        REFERENCE.gemm(
+            &Gemm::nn(rows, b, d, a_win, width, &w[..], d),
+            &mut c_ref,
+            d,
+        );
+        PACKED.gemm(
+            &Gemm::nn(rows, b, d, a_win, width, &w[..], d),
+            &mut c_packed,
+            d,
+        );
         assert_close(&format!("strided block {block}"), &c_packed, &c_ref);
 
         // Strided C: write one block column of a wide output.
         let mut y_ref = vec![0.0; rows * width];
         let mut y_packed = vec![0.0; rows * width];
         let wt = randn_vec(b * d, 1.0, 9);
-        REFERENCE.gemm_nt(
-            rows,
-            d,
-            b,
-            &c_ref,
-            d,
-            &wt,
-            d,
+        REFERENCE.gemm(
+            &Gemm::nt(rows, d, b, &c_ref, d, &wt[..], d),
             &mut y_ref[block * b..],
             width,
-            0.0,
         );
-        PACKED.gemm_nt(
-            rows,
-            d,
-            b,
-            &c_packed,
-            d,
-            &wt,
-            d,
+        PACKED.gemm(
+            &Gemm::nt(rows, d, b, &c_packed, d, &wt[..], d),
             &mut y_packed[block * b..],
             width,
-            0.0,
         );
         assert_close(&format!("strided C block {block}"), &y_packed, &y_ref);
     }
@@ -206,8 +158,8 @@ fn large_shape_stays_within_tolerance() {
     let b = randn_vec(k * n, 1.0, 12);
     let mut c_ref = vec![0.0; m * n];
     let mut c_packed = vec![0.0; m * n];
-    REFERENCE.gemm(m, k, n, &a, k, &b, n, &mut c_ref, n, 0.0);
-    PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_packed, n, 0.0);
+    REFERENCE.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_ref, n);
+    PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c_packed, n);
     assert_close("large gemm", &c_packed, &c_ref);
 }
 
@@ -235,40 +187,19 @@ fn f16_b_gemm_matches_decoded_oracle_on_shape_sweep() {
                 let mut got_ref = want.clone();
                 let mut got_packed = want.clone();
                 REFERENCE.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &decoded,
-                    n.max(1),
+                    &Gemm::nn(m, k, n, &a, k.max(1), &decoded[..], n.max(1)).beta(0.5),
                     &mut want,
                     n.max(1),
-                    0.5,
                 );
-                REFERENCE.gemm_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    n.max(1),
+                REFERENCE.gemm(
+                    &Gemm::nn(m, k, n, &a, k.max(1), &bits[..], n.max(1)).beta(0.5),
                     &mut got_ref,
                     n.max(1),
-                    0.5,
                 );
-                PACKED.gemm_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    n.max(1),
+                PACKED.gemm(
+                    &Gemm::nn(m, k, n, &a, k.max(1), &bits[..], n.max(1)).beta(0.5),
                     &mut got_packed,
                     n.max(1),
-                    0.5,
                 );
                 assert_close(&format!("ref gemm_f16 {m}x{k}x{n}"), &got_ref, &want);
                 assert_close(&format!("packed gemm_f16 {m}x{k}x{n}"), &got_packed, &want);
@@ -295,41 +226,20 @@ fn f16_b_gemm_nt_matches_decoded_oracle_on_shape_sweep() {
                 let mut want = vec![0.0; m * n];
                 let mut got_ref = vec![0.0; m * n];
                 let mut got_packed = vec![0.0; m * n];
-                REFERENCE.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &decoded,
-                    k.max(1),
+                REFERENCE.gemm(
+                    &Gemm::nt(m, k, n, &a, k.max(1), &decoded[..], k.max(1)),
                     &mut want,
                     n.max(1),
-                    0.0,
                 );
-                REFERENCE.gemm_nt_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    k.max(1),
+                REFERENCE.gemm(
+                    &Gemm::nt(m, k, n, &a, k.max(1), &bits[..], k.max(1)),
                     &mut got_ref,
                     n.max(1),
-                    0.0,
                 );
-                PACKED.gemm_nt_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    k.max(1),
+                PACKED.gemm(
+                    &Gemm::nt(m, k, n, &a, k.max(1), &bits[..], k.max(1)),
                     &mut got_packed,
                     n.max(1),
-                    0.0,
                 );
                 assert_close(&format!("ref gemm_nt_f16 {m}x{k}x{n}"), &got_ref, &want);
                 assert_close(
@@ -398,31 +308,18 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
                         // pre-scale *and* the accumulation, never between.
                         let mut want = c0.clone();
                         be.gemm(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b,
-                            n.max(1),
+                            &Gemm::nn(m, k, n, &a, k.max(1), &b[..], n.max(1)).beta(0.5),
                             &mut want,
                             n.max(1),
-                            0.5,
                         );
                         manual_epilogue(&mut want, n, fused_ep);
                         let mut got = c0.clone();
-                        be.gemm_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b,
-                            n.max(1),
+                        be.gemm(
+                            &Gemm::nn(m, k, n, &a, k.max(1), &b[..], n.max(1))
+                                .beta(0.5)
+                                .epilogue(fused_ep),
                             &mut got,
                             n.max(1),
-                            0.5,
-                            fused_ep,
                         );
                         assert_bits(
                             &format!("{} gemm_ep {m}x{k}x{n} {fused_ep:?}", be.name()),
@@ -431,32 +328,17 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
                         );
 
                         let mut want_nt = c0.clone();
-                        be.gemm_nt(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b_t,
-                            k.max(1),
+                        be.gemm(
+                            &Gemm::nt(m, k, n, &a, k.max(1), &b_t[..], k.max(1)),
                             &mut want_nt,
                             n.max(1),
-                            0.0,
                         );
                         manual_epilogue(&mut want_nt, n, fused_ep);
                         let mut got_nt = c0.clone();
-                        be.gemm_nt_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b_t,
-                            k.max(1),
+                        be.gemm(
+                            &Gemm::nt(m, k, n, &a, k.max(1), &b_t[..], k.max(1)).epilogue(fused_ep),
                             &mut got_nt,
                             n.max(1),
-                            0.0,
-                            fused_ep,
                         );
                         assert_bits(
                             &format!("{} gemm_nt_ep {m}x{k}x{n} {fused_ep:?}", be.name()),
@@ -470,11 +352,13 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
     }
 }
 
-/// The same fused-vs-unfused oracle for the mixed-precision entry points
-/// (f16, int8-block, NF4-block, N:M-sparse B), on a reduced grid: each
-/// dtype's `_ep` variant must equal its own plain variant plus the manual
-/// passes, bitwise, on both backends (`Reference` exercises the defaulted
-/// trait methods).
+/// The same fused-vs-unfused oracle for the mixed-precision B operands
+/// (f16, int8-block, NF4-block, N:M-sparse), on a reduced grid and in both B
+/// layouts (`nn`, and `nt` — the frozen-forward shape the MLP's FC1 takes on
+/// a reduced backbone): each fused product must equal the same backend's
+/// plain product plus the manual passes, bitwise, on both backends
+/// (`Reference` fuses reduced-B epilogues as a pass after its on-load-decode
+/// loops, `Packed` into the tile write-back).
 #[test]
 fn fused_epilogues_match_on_quantized_dtypes() {
     let sizes = [0usize, 1, MR, NR + 1, 40];
@@ -490,147 +374,39 @@ fn fused_epilogues_match_on_quantized_dtypes() {
                 let bits = lx_kernels::half::encode_slice(&b);
                 let (q8c, q8s) = lx_quant::q8::quantize(&b);
                 let (q4c, q4s) = lx_quant::nf4::quantize(&b);
-                let (nmv, nmm) = lx_quant::nm::encode(&b, k, n, 2, 4);
-                for be in backends {
-                    for fused_ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_f16(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &bits,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_f16_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &bits,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_f16_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
-
-                        let q8 = lx_kernels::Q8View::new(&q8c, &q8s);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_q8(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q8,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_q8_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q8,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_q8_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
-
-                        let q4 = lx_kernels::Q4View::new(&q4c, &q4s, k * n);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_q4(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q4,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_q4_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q4,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_q4_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
-
-                        let nm = lx_kernels::NmView::new(&nmv, &nmm, k, n, 2, 4);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_nm(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            nm,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_nm_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            nm,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_nm_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
+                // B's buffer is stored `k×n` for `nn` and `n×k` for `nt`.
+                for (b_trans, rows, cols) in [(false, k, n), (true, n, k)] {
+                    let (nmv, nmm) = lx_quant::nm::encode(&b, rows, cols, 2, 4);
+                    let operands = [
+                        BOperand::F16(&bits),
+                        BOperand::Q8(lx_kernels::Q8View::new(&q8c, &q8s)),
+                        BOperand::Q4(lx_kernels::Q4View::new(&q4c, &q4s, k * n)),
+                        BOperand::Nm(lx_kernels::NmView::new(&nmv, &nmm, rows, cols, 2, 4)),
+                    ];
+                    for be in backends {
+                        for fused_ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
+                            for op in operands {
+                                let g = Gemm {
+                                    b_trans,
+                                    ..Gemm::nn(m, k, n, &a, k.max(1), op, cols.max(1))
+                                };
+                                let mut want = vec![0.0; m * n];
+                                be.gemm(&g, &mut want, n.max(1));
+                                manual_epilogue(&mut want, n, fused_ep);
+                                let mut got = vec![0.0; m * n];
+                                be.gemm(&g.epilogue(fused_ep), &mut got, n.max(1));
+                                assert_bits(
+                                    &format!(
+                                        "{} {} {} ep {m}x{k}x{n}",
+                                        be.name(),
+                                        if b_trans { "nt" } else { "nn" },
+                                        op.dtype()
+                                    ),
+                                    &got,
+                                    &want,
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -720,58 +496,30 @@ fn nm_gemm_matches_decoded_oracle_bitwise_on_shape_sweep() {
                     let view = lx_kernels::NmView::new(&vals_nn, &masks_nn, k, n, 2, 4);
                     let mut want = c0.clone();
                     be.gemm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        &dec_nn,
-                        n.max(1),
+                        &Gemm::nn(m, k, n, &a, k.max(1), &dec_nn[..], n.max(1)).beta(0.5),
                         &mut want,
                         n.max(1),
-                        0.5,
                     );
                     let mut got = c0.clone();
-                    be.gemm_nm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        view,
-                        n.max(1),
+                    be.gemm(
+                        &Gemm::nn(m, k, n, &a, k.max(1), view, n.max(1)).beta(0.5),
                         &mut got,
                         n.max(1),
-                        0.5,
                     );
                     assert_bits(&format!("{} gemm_nm {m}x{k}x{n}", be.name()), &got, &want);
 
                     let view = lx_kernels::NmView::new(&vals_nt, &masks_nt, n, k, 2, 4);
                     let mut want = vec![0.0; m * n];
-                    be.gemm_nt(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        &dec_nt,
-                        k.max(1),
+                    be.gemm(
+                        &Gemm::nt(m, k, n, &a, k.max(1), &dec_nt[..], k.max(1)),
                         &mut want,
                         n.max(1),
-                        0.0,
                     );
                     let mut got = vec![0.0; m * n];
-                    be.gemm_nt_nm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        view,
-                        k.max(1),
+                    be.gemm(
+                        &Gemm::nt(m, k, n, &a, k.max(1), view, k.max(1)),
                         &mut got,
                         n.max(1),
-                        0.0,
                     );
                     assert_bits(
                         &format!("{} gemm_nt_nm {m}x{k}x{n}", be.name()),
@@ -799,32 +547,18 @@ fn nm_gemm_respects_strided_c_views_bitwise_on_both_paths() {
     for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
         for block in 0..width / b {
             let mut want = vec![1.0f32; rows * width];
-            be.gemm_nt(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &dec,
-                d,
+            be.gemm(
+                &Gemm::nt(rows, d, b, &act, d, &dec[..], d),
                 &mut want[block * b..],
                 width,
-                0.0,
             );
             let view = lx_kernels::NmView::new(&vals, &masks, b, d, 2, 4);
             let mut got_seq = vec![1.0f32; rows * width];
             lx_kernels::with_sequential(|| {
-                be.gemm_nt_nm(
-                    rows,
-                    d,
-                    b,
-                    &act,
-                    d,
-                    view,
-                    d,
+                be.gemm(
+                    &Gemm::nt(rows, d, b, &act, d, view, d),
                     &mut got_seq[block * b..],
                     width,
-                    0.0,
                 );
             });
             assert_bits(
@@ -833,17 +567,10 @@ fn nm_gemm_respects_strided_c_views_bitwise_on_both_paths() {
                 &want,
             );
             let mut got_par = vec![1.0f32; rows * width];
-            be.gemm_nt_nm(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                view,
-                d,
+            be.gemm(
+                &Gemm::nt(rows, d, b, &act, d, view, d),
                 &mut got_par[block * b..],
                 width,
-                0.0,
             );
             assert_bits(
                 &format!("{} nm strided par block {block}", be.name()),
@@ -874,10 +601,10 @@ fn parallel_nm_is_bit_identical_to_sequential() {
                 let view = lx_kernels::NmView::new(&vals, &masks, n, k, 2, 4);
                 let mut c_seq = vec![0.25f32; m * n];
                 lx_kernels::with_sequential(|| {
-                    PACKED.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_seq, n, 0.5);
+                    PACKED.gemm(&Gemm::nt(m, k, n, &a, k, view, k).beta(0.5), &mut c_seq, n);
                 });
                 let mut c_par = vec![0.25f32; m * n];
-                PACKED.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_par, n, 0.5);
+                PACKED.gemm(&Gemm::nt(m, k, n, &a, k, view, k).beta(0.5), &mut c_par, n);
                 assert_bits(&format!("nm par vs seq {m}x{k}x{n}"), &c_par, &c_seq);
             }
         }
@@ -896,17 +623,10 @@ fn fused_epilogue_respects_strided_c_views() {
     for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
         for block in 0..width / b {
             let mut want = vec![1.0f32; rows * width];
-            be.gemm_nt(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &wt,
-                d,
+            be.gemm(
+                &Gemm::nt(rows, d, b, &act, d, &wt[..], d),
                 &mut want[block * b..],
                 width,
-                0.0,
             );
             for r in 0..rows {
                 for j in 0..b {
@@ -915,18 +635,10 @@ fn fused_epilogue_respects_strided_c_views() {
                 }
             }
             let mut got = vec![1.0f32; rows * width];
-            be.gemm_nt_ep(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &wt,
-                d,
+            be.gemm(
+                &Gemm::nt(rows, d, b, &act, d, &wt[..], d).epilogue(Epilogue::BiasGelu(&bias)),
                 &mut got[block * b..],
                 width,
-                0.0,
-                Epilogue::BiasGelu(&bias),
             );
             assert_bits(
                 &format!("{} strided ep block {block}", be.name()),
@@ -959,10 +671,18 @@ fn parallel_packed_is_bit_identical_to_sequential() {
                 for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
                     let mut c_seq = vec![0.25f32; m * n];
                     lx_kernels::with_sequential(|| {
-                        PACKED.gemm_ep(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.5, ep);
+                        PACKED.gemm(
+                            &Gemm::nn(m, k, n, &a, k, &b[..], n).beta(0.5).epilogue(ep),
+                            &mut c_seq,
+                            n,
+                        );
                     });
                     let mut c_par = vec![0.25f32; m * n];
-                    PACKED.gemm_ep(m, k, n, &a, k, &b, n, &mut c_par, n, 0.5, ep);
+                    PACKED.gemm(
+                        &Gemm::nn(m, k, n, &a, k, &b[..], n).beta(0.5).epilogue(ep),
+                        &mut c_par,
+                        n,
+                    );
                     assert_bits(&format!("par vs seq {m}x{k}x{n} {ep:?}"), &c_par, &c_seq);
                 }
             }
@@ -986,7 +706,7 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
                 let a = randn_vec(m * k, 1.0, seed);
                 let b = randn_vec(k * n, 1.0, seed + 1);
                 let mut c = vec![0.0f32; m * n];
-                PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 0.0);
+                PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut c, n);
                 c
             })
             .collect::<Vec<_>>()
@@ -997,7 +717,7 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
         let b = randn_vec(k * n, 1.0, seed + 1);
         let mut want = vec![0.0f32; m * n];
         lx_kernels::with_sequential(|| {
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut want, n, 0.0);
+            PACKED.gemm(&Gemm::nn(m, k, n, &a, k, &b[..], n), &mut want, n);
         });
         assert_bits(&format!("worker gemm {i}"), &got, &want);
     }
@@ -1012,22 +732,34 @@ fn attention_block_shapes_match() {
         let k = randn_vec(b * dh, 1.0, 22);
         let mut s_ref = vec![0.0; b * b];
         let mut s_packed = vec![0.0; b * b];
-        REFERENCE.gemm_nt(b, dh, b, &q, dh, &k, dh, &mut s_ref, b, 0.0);
-        PACKED.gemm_nt(b, dh, b, &q, dh, &k, dh, &mut s_packed, b, 0.0);
+        REFERENCE.gemm(&Gemm::nt(b, dh, b, &q, dh, &k[..], dh), &mut s_ref, b);
+        PACKED.gemm(&Gemm::nt(b, dh, b, &q, dh, &k[..], dh), &mut s_packed, b);
         assert_close(&format!("scores block b={b} dh={dh}"), &s_packed, &s_ref);
 
         let p = randn_vec(b * b, 1.0, 23);
         let v = randn_vec(b * dh, 1.0, 24);
         let mut o_ref = vec![0.0; b * dh];
         let mut o_packed = vec![0.0; b * dh];
-        REFERENCE.gemm(b, b, dh, &p, b, &v, dh, &mut o_ref, dh, 1.0);
-        PACKED.gemm(b, b, dh, &p, b, &v, dh, &mut o_packed, dh, 1.0);
+        REFERENCE.gemm(
+            &Gemm::nn(b, b, dh, &p, b, &v[..], dh).beta(1.0),
+            &mut o_ref,
+            dh,
+        );
+        PACKED.gemm(
+            &Gemm::nn(b, b, dh, &p, b, &v[..], dh).beta(1.0),
+            &mut o_packed,
+            dh,
+        );
         assert_close(&format!("context block b={b}"), &o_packed, &o_ref);
 
         let mut t_ref = vec![0.0; b * dh];
         let mut t_packed = vec![0.0; b * dh];
-        REFERENCE.gemm_tn(b, b, dh, &p, b, &v, dh, &mut t_ref, dh, 1.0);
-        PACKED.gemm_tn(b, b, dh, &p, b, &v, dh, &mut t_packed, dh, 1.0);
+        REFERENCE.gemm(&Gemm::tn(b, b, dh, &p, b, &v, dh).beta(1.0), &mut t_ref, dh);
+        PACKED.gemm(
+            &Gemm::tn(b, b, dh, &p, b, &v, dh).beta(1.0),
+            &mut t_packed,
+            dh,
+        );
         assert_close(&format!("transposed block b={b}"), &t_packed, &t_ref);
     }
 }

@@ -454,8 +454,8 @@ fn merge_on_nm24_backbone_preserves_masks_bit_exactly() {
     PeftMethod::lora_default().apply(&mut m, 41);
     let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
     m.for_each_param(&mut |p| {
-        if let Some(s) = &p.nm {
-            masks_before.push((p.name.clone(), s.masks().to_vec()));
+        if let Some(masks) = p.frozen.as_ref().and_then(|s| s.masks()) {
+            masks_before.push((p.name.clone(), masks.to_vec()));
         }
     });
     assert!(!masks_before.is_empty(), "no N:M-stored backbone weights");
@@ -473,10 +473,17 @@ fn merge_on_nm24_backbone_preserves_masks_bit_exactly() {
         let Some((_, expect)) = masks_before.iter().find(|(n, _)| n == &p.name) else {
             return;
         };
-        let s =
-            p.nm.as_ref()
-                .unwrap_or_else(|| panic!("{}: merge must keep N:M storage", p.name));
-        assert_eq!(s.masks(), &expect[..], "{}: mask bytes changed", p.name);
+        let s = p
+            .frozen
+            .as_ref()
+            .filter(|s| s.dtype() == lx_tensor::Dtype::Nm24)
+            .unwrap_or_else(|| panic!("{}: merge must keep N:M storage", p.name));
+        assert_eq!(
+            s.masks(),
+            Some(&expect[..]),
+            "{}: mask bytes changed",
+            p.name
+        );
         // The decoded merged matrix obeys its own mask exactly: re-applying
         // it finds nothing left to zero.
         let mut dense = s.to_f32_vec();
