@@ -6,8 +6,9 @@
 
 use long_exposure::engine::StepMode;
 use lx_bench::{calibrated_engine, default_opt, fmt_ms, header, mean_step, row};
-use lx_model::ModelConfig;
+use lx_model::{ModelConfig, StepOutcome};
 use lx_peft::PeftMethod;
+use std::time::Duration;
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig10_breakdown");
@@ -32,6 +33,7 @@ fn main() {
         ("Adapter", PeftMethod::adapter_default()),
         ("BitFit", PeftMethod::BitFit),
     ];
+    let mut verdicts = Vec::new();
     for (name, method) in methods {
         let (mut engine, mut batcher) = calibrated_engine(cfg.clone(), method, batch, seq, 42);
         let mut opt = default_opt();
@@ -74,7 +76,29 @@ fn main() {
                 dense.total().as_secs_f64() / lx.total().as_secs_f64()
             ),
         ]);
+        verdicts.push(verdict(name, &dense, &lx));
     }
-    println!("\nshape to check: +LongExposure cuts forward & backward; predict column stays ~1-3% of total.");
+    // Computed from the rows above, so the printed claim cannot contradict
+    // the numbers (paper: forward and backward shrink, predict ~1-3%).
+    println!("\nverdict (paper: +LongExposure cuts forward & backward; predict ~1-3% of total):");
+    for v in verdicts {
+        println!("  {v}");
+    }
     cli.finish();
+}
+
+/// One method's verdict line: whether +LongExposure cut each phase, as the
+/// ratio to the dense phase, and the predict share of its total.
+fn verdict(name: &str, dense: &StepOutcome, lx: &StepOutcome) -> String {
+    let phase = |what: &str, d: Duration, l: Duration| {
+        let r = l.as_secs_f64() / d.as_secs_f64();
+        let cut = if r < 1.0 { "cut" } else { "NOT cut" };
+        format!("{what} {cut} ({r:.2}x of dense)")
+    };
+    format!(
+        "{name}: {}, {}; predict {:.1}% of the +LongExposure total",
+        phase("forward", dense.forward, lx.forward),
+        phase("backward", dense.backward, lx.backward),
+        100.0 * lx.predict.as_secs_f64() / lx.total().as_secs_f64()
+    )
 }

@@ -42,8 +42,8 @@ fn mask_with_density(n: usize, density: f64, seed: u64) -> BlockMask {
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig12_operators");
-    // Tuned kernel policy so sparse per-block GEMMs and the dense arm both
-    // dispatch to the best backend for their shape.
+    // Tuned kernel policy so the block-list products and the dense arm
+    // both dispatch to the best backend for their work.
     lx_runtime::kernel_policy::install_tuned();
     let (s, dh, block) = (512, 64, 32);
     let n = s / block;
@@ -62,6 +62,7 @@ fn main() {
         gemm(s, s, dh, &p, &v, &mut o, 0.0);
     });
     header(&["sparsity", "blocks", "time ms", "dense ms", "speedup"]);
+    let mut attn_rows = Vec::new();
     for sparsity in [0.0f64, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95] {
         let mask = mask_with_density(n, 1.0 - sparsity, 7);
         let layout = BlockCsr::from_mask(&mask, block);
@@ -79,6 +80,7 @@ fn main() {
             format!("{:.2}", dense_t * 1e3),
             format!("{:.2}x", dense_t / t),
         ]);
+        attn_rows.push((sparsity, layout.nnz_blocks() as f64, t, dense_t));
     }
 
     println!("\n== Fig. 12b: neuron-wise MLP kernels vs dense (rows 512, d 256, d_ff 1024, block 32) ==\n");
@@ -108,6 +110,7 @@ fn main() {
         "dense ms",
         "speedup",
     ]);
+    let mut mlp_rows = Vec::new();
     for sparsity in [0.0f64, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95] {
         let keep = (((1.0 - sparsity) * n_blk as f64).round() as usize).max(1);
         let set = NeuronBlockSet::from_indices(
@@ -125,7 +128,56 @@ fn main() {
             format!("{:.2}", mlp_dense_t * 1e3),
             format!("{:.2}x", mlp_dense_t / t),
         ]);
+        mlp_rows.push((sparsity, set.n_active() as f64, t, mlp_dense_t));
     }
-    println!("\nshape to check: time ≈ linear in (1 − sparsity); 3–5x speedups at ≥0.8 sparsity.");
+    // Computed from the rows above, so the printed claim cannot contradict
+    // the numbers.
+    println!("\nverdict (paper: time ≈ linear in (1 − sparsity); 3–5x speedups at ≥0.8 sparsity):");
+    println!("  {}", verdict("attention", &attn_rows));
+    println!("  {}", verdict("MLP", &mlp_rows));
     cli.finish();
+}
+
+/// R² a least-squares line must reach for the time-vs-work verdict to say
+/// "linear".
+const LINEAR_R2: f64 = 0.95;
+
+/// One operator's verdict from its `(sparsity, active blocks, time, dense
+/// time)` rows: a least-squares line of time against active blocks (the
+/// work `1 − sparsity` stands for), its R², and the speedup range at ≥0.8
+/// sparsity.
+fn verdict(what: &str, rows: &[(f64, f64, f64, f64)]) -> String {
+    let n = rows.len() as f64;
+    let (mx, my) = (
+        rows.iter().map(|r| r.1).sum::<f64>() / n,
+        rows.iter().map(|r| r.2).sum::<f64>() / n,
+    );
+    let sxy: f64 = rows.iter().map(|r| (r.1 - mx) * (r.2 - my)).sum();
+    let sxx: f64 = rows.iter().map(|r| (r.1 - mx).powi(2)).sum();
+    let syy: f64 = rows.iter().map(|r| (r.2 - my).powi(2)).sum();
+    let slope = sxy / sxx;
+    let r2 = if syy > 0.0 {
+        sxy * sxy / (sxx * syy)
+    } else {
+        1.0
+    };
+    let linear = if r2 >= LINEAR_R2 {
+        "linear"
+    } else {
+        "NOT linear"
+    };
+    let high: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.0 >= 0.8)
+        .map(|r| r.3 / r.2)
+        .collect();
+    let (lo, hi) = high.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {
+        (lo.min(x), hi.max(x))
+    });
+    format!(
+        "{what}: time = {:.3} + {:.4}·blocks ms, R² {r2:.3} → {linear} in active blocks \
+         (threshold R² ≥ {LINEAR_R2}); speedup at ≥0.8 sparsity {lo:.2}x–{hi:.2}x",
+        (my - slope * mx) * 1e3,
+        slope * 1e3,
+    )
 }

@@ -3,9 +3,10 @@
 //! A backend is one method over a [`Gemm`] descriptor; the descriptor module
 //! documents the layouts, leading dimensions and the slice length contract.
 
-use crate::descriptor::{BOperand, Gemm};
+use crate::descriptor::{BOperand, BlockList, Gemm};
 use crate::epilogue::{apply_epilogue, Epilogue};
-use lx_parallel::par_rows;
+use lx_parallel::{par_disjoint, par_rows};
+use std::ops::Range;
 
 /// Don't fan a GEMM out across the pool unless a task has at least this many
 /// fused mul-adds (same constant the original loop kernels used).
@@ -29,22 +30,91 @@ pub trait KernelBackend: Sync {
     fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize);
 }
 
-/// `C *= beta` sweep (the whole op when `k == 0`; the up-front beta pass of
-/// the packed driver otherwise). Parallel across row chunks unless the
-/// caller is already inside a pool worker or forced sequential.
-pub(crate) fn scale_only(c: &mut [f32], m: usize, n: usize, ldc: usize, beta: f32) {
-    if crate::sequential_mode() {
-        for i in 0..m {
-            scale_row(&mut c[i * ldc..i * ldc + n], beta);
-        }
-        return;
+/// [`par_rows`] unless `seq`: then `body` runs over all `rows` on the calling
+/// thread. Every kernel loop forks through this, so a GEMM issued inside a
+/// pool task (or under [`with_sequential`](crate::with_sequential)) never
+/// opens a nested scope — whose waiting thread would help-drain sibling
+/// tasks re-entrantly. Per-row results do not depend on the chunking, so both
+/// arms produce the same bits.
+pub(crate) fn rows_maybe_par<F>(
+    c: &mut [f32],
+    rows: usize,
+    ldc: usize,
+    grain: usize,
+    seq: bool,
+    body: F,
+) where
+    F: Fn(Range<usize>, &mut [f32]) + Sync,
+{
+    if seq {
+        body(0..rows, c);
+    } else {
+        par_rows(c, rows, ldc, grain, body);
     }
-    par_rows(c, m, ldc, (1 << 14) / n.max(1), |rows, chunk| {
+}
+
+/// `C *= beta` sweep (the whole op when `k == 0`; the up-front beta pass of
+/// the packed driver otherwise). Parallel across row chunks unless `seq`.
+pub(crate) fn scale_only(c: &mut [f32], m: usize, n: usize, ldc: usize, beta: f32, seq: bool) {
+    rows_maybe_par(c, m, ldc, (1 << 14) / n.max(1), seq, |rows, chunk| {
         for i in rows.clone() {
             let local = (i - rows.start) * ldc;
             scale_row(&mut chunk[local..local + n], beta);
         }
     });
+}
+
+/// Run `body(lines, chunk, base)` over the lines of a block-list product —
+/// block-rows of the block data (SDD) or `b`-row bands of a dense C (DSD,
+/// DSD-tn) — where `span(line)` is the part of `c` line `line` owns. `chunk`
+/// covers the lines' spans and starts at element `base` of `c`. Lines are
+/// independent, so they run as tasks of at least `grain` lines, or all on the
+/// calling thread when `seq`; both produce the same bits.
+pub(crate) fn for_lines<F>(
+    c: &mut [f32],
+    n_lines: usize,
+    span: impl Fn(usize) -> Range<usize>,
+    grain: usize,
+    seq: bool,
+    body: F,
+) where
+    F: Fn(Range<usize>, &mut [f32], usize) + Sync,
+{
+    if seq || n_lines <= grain {
+        return body(0..n_lines, c, 0);
+    }
+    let spans: Vec<Range<usize>> = (0..n_lines).map(span).collect();
+    par_disjoint(c, &spans, grain, |lines, chunk| {
+        let base = spans[lines.start].start;
+        body(lines, chunk, base)
+    });
+}
+
+/// Minimum lines per task for a block-list product: enough that a task has
+/// about [`GRAIN_FLOPS`] multiply-adds.
+pub(crate) fn line_grain(g: &Gemm<'_>, n_lines: usize) -> usize {
+    let per_line = (g.flops() / 2 / n_lines.max(1) as u64).max(1);
+    (GRAIN_FLOPS as u64 / per_line).max(1) as usize
+}
+
+/// The part of C a block-list line owns: the block data of block-row `line`
+/// (SDD), or the `b` rows of a dense C starting at row `line·b` (DSD,
+/// DSD-tn).
+pub(crate) fn line_span<'a>(
+    l: &BlockList<'a>,
+    sdd: bool,
+    n: usize,
+    ldc: usize,
+) -> impl Fn(usize) -> Range<usize> + 'a {
+    let (l, b) = (*l, l.block);
+    move |line| {
+        if sdd {
+            let r = l.row(line);
+            r.start * b * b..r.end * b * b
+        } else {
+            line * b * ldc..(line * b + b - 1) * ldc + n
+        }
+    }
 }
 
 #[inline]
@@ -96,6 +166,10 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 /// accumulation order is identical to the f32 loops, so results match the
 /// decode-up-front path bit for bit, and the full f32 B is never
 /// materialised. Their epilogue is a standalone pass after the product.
+///
+/// A block-list product ([`Gemm::blocks`]) is decoded row by row: each output
+/// row walks its line's active blocks in list order, which is the oracle the
+/// packed block-list path is tested against.
 pub struct Reference;
 
 impl KernelBackend for Reference {
@@ -105,6 +179,9 @@ impl KernelBackend for Reference {
 
     fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
         g.check(c.len(), ldc);
+        if let Some(list) = &g.blocks {
+            return block_list(g, list, c, ldc);
+        }
         let Gemm {
             m,
             k,
@@ -154,11 +231,12 @@ fn nn(
         return;
     }
     ep.check(n);
+    let seq = crate::sequential_mode();
     if k == 0 {
-        scale_only(c, m, n, ldc, beta);
+        scale_only(c, m, n, ldc, beta, seq);
         return apply_epilogue(c, m, n, ldc, ep);
     }
-    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+    rows_maybe_par(c, m, ldc, row_grain(k, n), seq, |rows, chunk| {
         for i in rows.clone() {
             let local = (i - rows.start) * ldc;
             let c_row = &mut chunk[local..local + n];
@@ -195,11 +273,12 @@ fn nt(
         return;
     }
     ep.check(n);
+    let seq = crate::sequential_mode();
     if k == 0 {
-        scale_only(c, m, n, ldc, beta);
+        scale_only(c, m, n, ldc, beta, seq);
         return apply_epilogue(c, m, n, ldc, ep);
     }
-    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+    rows_maybe_par(c, m, ldc, row_grain(k, n), seq, |rows, chunk| {
         for i in rows.clone() {
             let local = (i - rows.start) * ldc;
             let c_row = &mut chunk[local..local + n];
@@ -231,10 +310,11 @@ fn tn(
     if m == 0 || n == 0 {
         return;
     }
+    let seq = crate::sequential_mode();
     if k == 0 {
-        return scale_only(c, m, n, ldc, beta);
+        return scale_only(c, m, n, ldc, beta, seq);
     }
-    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+    rows_maybe_par(c, m, ldc, row_grain(k, n), seq, |rows, chunk| {
         for i in rows.clone() {
             let local = (i - rows.start) * ldc;
             scale_row(&mut chunk[local..local + n], beta);
@@ -272,10 +352,11 @@ fn gemm_decode_b<D: Fn(usize, &mut [f32]) + Sync>(
     if m == 0 || n == 0 {
         return;
     }
+    let seq = crate::sequential_mode();
     if k == 0 {
-        return scale_only(c, m, n, ldc, beta);
+        return scale_only(c, m, n, ldc, beta, seq);
     }
-    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+    rows_maybe_par(c, m, ldc, row_grain(k, n), seq, |rows, chunk| {
         for i in rows.clone() {
             let local = (i - rows.start) * ldc;
             scale_row(&mut chunk[local..local + n], beta);
@@ -312,10 +393,11 @@ fn gemm_nt_decode_b<D: Fn(usize, &mut [f32]) + Sync>(
     if m == 0 || n == 0 {
         return;
     }
+    let seq = crate::sequential_mode();
     if k == 0 {
-        return scale_only(c, m, n, ldc, beta);
+        return scale_only(c, m, n, ldc, beta, seq);
     }
-    par_rows(c, m, ldc, row_grain(k, n), |rows, chunk| {
+    rows_maybe_par(c, m, ldc, row_grain(k, n), seq, |rows, chunk| {
         let mut b_row = vec![0.0f32; k];
         for j in 0..n {
             decode(j, &mut b_row);
@@ -324,6 +406,76 @@ fn gemm_nt_decode_b<D: Fn(usize, &mut [f32]) + Sync>(
                 let dot = dot_unrolled(a_row, &b_row);
                 let cv = &mut chunk[(i - rows.start) * ldc + j];
                 *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
+            }
+        }
+    });
+}
+
+/// A block-list product ([`Gemm::blocks`]), one output row at a time.
+fn block_list(g: &Gemm<'_>, l: &BlockList<'_>, c: &mut [f32], ldc: usize) {
+    let BOperand::F32(bm) = g.b else {
+        unreachable!("checked: block lists take an f32 B")
+    };
+    let (b, k, n, beta) = (l.block, g.k, g.n, g.beta);
+    let (a, lda, ldb, bb) = (g.a, g.lda, g.ldb, b * b);
+    let sdd = g.b_trans;
+    let (seq, grain) = (crate::sequential_mode(), line_grain(g, l.grid()));
+    let span = line_span(l, sdd, n, ldc);
+    if sdd && k == 0 {
+        let rows = l.nnz() * b;
+        return scale_only(c, rows, b, b, beta, seq);
+    }
+    if !sdd && n == 0 {
+        return;
+    }
+    if sdd {
+        // Row `i` of block-row `br` against the rows of each active
+        // block-column: the `nt` loop over the gathered B.
+        for_lines(c, l.grid(), span, grain, seq, |lines, chunk, base| {
+            for br in lines {
+                for e in l.row(br) {
+                    let bc = l.col_idx[e] as usize;
+                    let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
+                    for (i, c_row) in blk.chunks_exact_mut(b).enumerate() {
+                        let a_row = &a[(br * b + i) * lda..][..k];
+                        for (j, cv) in c_row.iter_mut().enumerate() {
+                            let dot = dot_unrolled(a_row, &bm[(bc * b + j) * ldb..][..k]);
+                            *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
+                        }
+                    }
+                }
+            }
+        });
+        return;
+    }
+    // DSD / DSD-tn: output row `i` of line `line` takes row `i` of each
+    // active block (column `i`, read transposed, for DSD-tn) against the
+    // matching `b` rows of B — the `nn` loop over the gathered operands.
+    for_lines(c, l.grid(), span, grain, seq, |lines, chunk, base| {
+        for line in lines {
+            let entries = if g.a_trans { l.col(line) } else { l.row(line) };
+            for i in 0..b {
+                let c_row = &mut chunk[(line * b + i) * ldc - base..][..n];
+                scale_row(c_row, beta);
+                for e in entries.clone() {
+                    let (data, other) = if g.a_trans {
+                        (l.csc_to_csr[e], l.row_idx[e])
+                    } else {
+                        (e as u32, l.col_idx[e])
+                    };
+                    let p = &a[data as usize * bb..][..bb];
+                    for t in 0..b {
+                        let av = if g.a_trans {
+                            p[t * b + i]
+                        } else {
+                            p[i * b + t]
+                        };
+                        if av == 0.0 {
+                            continue;
+                        }
+                        axpy_row(c_row, av, &bm[(other as usize * b + t) * ldb..][..n]);
+                    }
+                }
             }
         }
     });

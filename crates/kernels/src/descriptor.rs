@@ -16,6 +16,12 @@
 //! leading dimension `ld ≥ c` needs at least `(r−1)·ld + c` elements and at
 //! most `r·ld` (so views carved out of a larger buffer, whose final row stops
 //! at the logical width, are accepted).
+//!
+//! A descriptor may also carry a [`BlockList`]: the `s×s` operand of an
+//! attention product — C of the `nt` score product (SDD), A of the `nn` and
+//! `tn` context/gradient products (DSD, DSD-tn) — is then stored as
+//! block-major data over the list's active blocks, and the whole block-sparse
+//! product is one call (see [`Gemm::blocks`]).
 
 use crate::epilogue::Epilogue;
 use lx_quant::{NmView, Q4View, Q8View};
@@ -30,6 +36,8 @@ use lx_quant::{NmView, Q4View, Q8View};
 ///
 /// Every view is addressed by the flat row-major element index of the
 /// stored matrix, which is what makes `ldb` striding work for all of them.
+/// A block-list product ([`Gemm::blocks`]) takes an `F32` B only: its dense
+/// operands are activations, never frozen storage.
 #[derive(Clone, Copy, Debug)]
 pub enum BOperand<'a> {
     F32(&'a [f32]),
@@ -154,6 +162,82 @@ impl<'a> From<NmView<'a>> for BOperand<'a> {
     }
 }
 
+/// A borrowed block-list view of a square block-sparse layout — the lookup
+/// tables of `lx_sparse::BlockCsr` — over an `n × n` grid of `block × block`
+/// tiles. CSR entry `e` owns `data[e·block² .. (e+1)·block²]`, row-major;
+/// entries of one block-row are contiguous and sorted by block-column. The
+/// CSC arrays list the same entries by block-column: CSC entry `e2` sits in
+/// block-row `row_idx[e2]` and owns the data of CSR entry `csc_to_csr[e2]`.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockList<'a> {
+    pub block: usize,
+    /// CSR row pointers, `n + 1` long.
+    pub row_ptr: &'a [u32],
+    /// Block-column of each CSR entry.
+    pub col_idx: &'a [u32],
+    /// CSC column pointers, `n + 1` long.
+    pub col_ptr: &'a [u32],
+    /// Block-row of each CSC entry.
+    pub row_idx: &'a [u32],
+    /// CSR entry of each CSC entry.
+    pub csc_to_csr: &'a [u32],
+}
+
+impl BlockList<'_> {
+    /// Blocks per side of the grid.
+    pub(crate) fn grid(&self) -> usize {
+        self.row_ptr.len().saturating_sub(1)
+    }
+
+    /// Active blocks.
+    pub(crate) fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// CSR entries of block-row `br`.
+    #[inline]
+    pub(crate) fn row(&self, br: usize) -> std::ops::Range<usize> {
+        self.row_ptr[br] as usize..self.row_ptr[br + 1] as usize
+    }
+
+    /// CSC entries of block-column `bc`.
+    #[inline]
+    pub(crate) fn col(&self, bc: usize) -> std::ops::Range<usize> {
+        self.col_ptr[bc] as usize..self.col_ptr[bc + 1] as usize
+    }
+
+    /// Reject inconsistent tables: pointer arrays that are not monotone or do
+    /// not end at the entry count, and indices outside the grid. Kernels may
+    /// then index block data without further checks.
+    #[track_caller]
+    fn check(&self) {
+        let (n, nnz) = (self.grid(), self.nnz());
+        assert!(self.block > 0, "block list: zero block size");
+        for (name, ptr) in [("row_ptr", self.row_ptr), ("col_ptr", self.col_ptr)] {
+            assert!(
+                ptr.len() == n + 1
+                    && ptr[0] == 0
+                    && ptr[n] as usize == nnz
+                    && ptr.windows(2).all(|w| w[0] <= w[1]),
+                "block list: {name} is not a monotone {}-entry pointer array ending at {nnz}",
+                n + 1
+            );
+        }
+        assert!(
+            self.row_idx.len() == nnz && self.csc_to_csr.len() == nnz,
+            "block list: CSC arrays must have {nnz} entries"
+        );
+        assert!(
+            self.col_idx
+                .iter()
+                .chain(self.row_idx)
+                .all(|&i| (i as usize) < n)
+                && self.csc_to_csr.iter().all(|&e| (e as usize) < nnz),
+            "block list: index outside the {n}×{n} grid"
+        );
+    }
+}
+
 /// One GEMM: `C[m,n] = epilogue(beta·C + op(A)·op(B))`, where `op(A)` is A
 /// (`m×k`) or, with [`a_trans`](Self::a_trans), Aᵀ of a `k×m` A; and `op(B)`
 /// is B (`k×n`) or, with [`b_trans`](Self::b_trans), Bᵀ of an `n×k` B. C is
@@ -161,8 +245,9 @@ impl<'a> From<NmView<'a>> for BOperand<'a> {
 ///
 /// Supported combinations are the ones the workspace issues: `nn` and `nt`
 /// with any B storage and any epilogue, and `tn` (the gradient-of-weights
-/// shape `dW = Xᵀ·dY`) with f32 B and no epilogue. Anything else is rejected
-/// with a panic naming the combination.
+/// shape `dW = Xᵀ·dY`) with f32 B and no epilogue; with a [`BlockList`]
+/// (see [`blocks`](Self::blocks)), `nt`, `nn` and `tn` with f32 B and no
+/// epilogue. Anything else is rejected with a panic naming the combination.
 #[derive(Clone, Copy, Debug)]
 pub struct Gemm<'a> {
     pub m: usize,
@@ -178,6 +263,8 @@ pub struct Gemm<'a> {
     /// not leak into the result.
     pub beta: f32,
     pub ep: Epilogue<'a>,
+    /// Block-sparse `s×s` operand, if any (see [`blocks`](Self::blocks)).
+    pub blocks: Option<BlockList<'a>>,
 }
 
 impl<'a> Gemm<'a> {
@@ -204,6 +291,7 @@ impl<'a> Gemm<'a> {
             b_trans: false,
             beta: 0.0,
             ep: Epilogue::None,
+            blocks: None,
         }
     }
 
@@ -254,6 +342,42 @@ impl<'a> Gemm<'a> {
         Gemm { ep, ..self }
     }
 
+    /// Store the product's `s×s` operand as block data over `list` (grid
+    /// `n`, block `b`, `s = n·b`) and compute only its active blocks:
+    ///
+    /// * `nt` — SDD, `C = A·Bᵀ` on active blocks: A and B are `s×k`, and C is
+    ///   the block data (`nnz·b²` elements, `ldc == b`);
+    /// * `nn` — DSD, `C = P·B`: A is the block data `P` (`lda == b`), B and C
+    ///   are `s×n`;
+    /// * `tn` — DSD-tn, `C = Pᵀ·B`: as `nn` with `P` read transposed through
+    ///   the CSC view.
+    ///
+    /// Backends walk the list themselves: [`Packed`](crate::Packed) packs the
+    /// dense operand once per block-column (SDD) or gathers each block-row's
+    /// (block-column's) operands straight into its panels, and
+    /// [`Reference`](crate::Reference) decodes the list row by row. B must be
+    /// f32 and there is no epilogue.
+    pub fn blocks(self, list: BlockList<'a>) -> Self {
+        Gemm {
+            blocks: Some(list),
+            ..self
+        }
+    }
+
+    /// Multiply-add FLOPs the product performs, `2·m·k·n` — or, with a
+    /// [`BlockList`], only the active blocks' share, `2·nnz·b²·d` where `d`
+    /// is the dense inner (SDD) or output (DSD) width. Dispatch and shape
+    /// attribution both use this.
+    pub fn flops(&self) -> u64 {
+        match &self.blocks {
+            None => 2 * (self.m as u64) * (self.k as u64) * (self.n as u64),
+            Some(l) => {
+                let d = if self.b_trans { self.k } else { self.n };
+                2 * (l.nnz() * l.block * l.block) as u64 * d as u64
+            }
+        }
+    }
+
     /// `nn`/`nt`/`tn`/`tt`, for messages.
     fn layout(&self) -> &'static str {
         match (self.a_trans, self.b_trans) {
@@ -276,12 +400,64 @@ impl<'a> Gemm<'a> {
             self.b.dtype(),
             if self.ep.is_none() { "" } else { " + epilogue" },
         );
+        if let Some(list) = &self.blocks {
+            return self.check_blocks(list, c_len, ldc);
+        }
         let (m, k, n) = (self.m, self.k, self.n);
         let (a_rows, a_cols) = if self.a_trans { (k, m) } else { (m, k) };
         let (b_rows, b_cols) = if self.b_trans { (n, k) } else { (k, n) };
         self.check_view(self.a.len(), a_rows, a_cols, self.lda, "A");
         self.check_view(self.b.len(), b_rows, b_cols, self.ldb, "B");
         self.check_view(c_len, m, n, ldc, "C");
+    }
+
+    /// [`check`](Self::check) for a block-list product: the combination, the
+    /// square grid against the shape, the block data and the dense views.
+    #[track_caller]
+    fn check_blocks(&self, list: &BlockList<'_>, c_len: usize, ldc: usize) {
+        let sdd = !self.a_trans && self.b_trans;
+        assert!(
+            (sdd || !self.b_trans) && self.ep.is_none() && self.b.kind() == 0,
+            "gemm {} {} B{} over a block list: unsupported combination (block lists \
+             take nt, nn or tn with an f32 B and no epilogue)",
+            self.layout(),
+            self.b.dtype(),
+            if self.ep.is_none() { "" } else { " + epilogue" },
+        );
+        list.check();
+        let (b, data) = (list.block, list.nnz() * list.block * list.block);
+        let s = list.grid() * b;
+        let (m, k, n) = (self.m, self.k, self.n);
+        // The block operand is `s×s` on both of its axes: (m, n) for SDD,
+        // (m, k) for DSD and DSD-tn.
+        let square = if sdd { (m, n) } else { (m, k) };
+        assert!(
+            square == (s, s),
+            "gemm {} over a block list: {}x{} operand but the list covers {s}x{s}",
+            self.layout(),
+            square.0,
+            square.1
+        );
+        if sdd {
+            self.check_view(self.a.len(), m, k, self.lda, "A");
+            self.check_view(self.b.len(), n, k, self.ldb, "B");
+            assert!(
+                c_len == data && ldc == b,
+                "gemm nt over a block list: C must be the {data}-element block data \
+                 with ldc {b} (got {c_len}, ldc {ldc})"
+            );
+        } else {
+            assert!(
+                self.a.len() == data && self.lda == b,
+                "gemm {} over a block list: A must be the {data}-element block data \
+                 with lda {b} (got {}, lda {})",
+                self.layout(),
+                self.a.len(),
+                self.lda
+            );
+            self.check_view(self.b.len(), k, n, self.ldb, "B");
+            self.check_view(c_len, m, n, ldc, "C");
+        }
     }
 
     /// Check a `rows × cols` view with leading dimension `ld`.

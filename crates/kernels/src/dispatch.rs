@@ -5,12 +5,16 @@
 //! The packed backend pays for its speed up front: packing traffic of
 //! `O(m·k + k·n)` writes per k-block plus the beta pass over C. For the
 //! Fig. 12 operator shapes (hundreds × hundreds and up) that cost is noise;
-//! for the many small per-block GEMMs the sparse operators issue (e.g.
-//! `32×64×32` score blocks) it is not. The [`Auto`] dispatcher therefore
-//! routes a call to [`Packed`] only when its FLOP count clears
-//! [`KernelPolicy::min_flops_packed`] *and* the inner/output dimensions are
-//! wide enough (`k ≥ 8`, `n ≥ NR/2`) for panels to amortise; everything else
-//! takes the [`Reference`] loops, which have zero setup cost.
+//! for small products — low-rank adapter GEMMs, short sequences, a head with
+//! only a few active blocks — it is not. The [`Auto`] dispatcher therefore
+//! routes a call to [`Packed`] only when its FLOP count ([`Gemm::flops`])
+//! clears [`KernelPolicy::min_flops_packed`] *and* the inner/output
+//! dimensions are wide enough (`k ≥ 8`, `n ≥ NR/2`) for panels to amortise;
+//! everything else takes the [`Reference`] loops, which have zero setup cost.
+//! A block-sparse attention product is one call per (batch, head) and counts
+//! only its active blocks, so a head routes on the work it actually does —
+//! a `256`-token head at block density ½ (about 2 MFLOP) goes packed under
+//! the default policy.
 //!
 //! The policy lives in process-wide atomics so `lx-runtime` can install a
 //! cache-model-derived [`TileConfig`] (see `lx_runtime::kernel_policy`) and
@@ -134,14 +138,21 @@ static OBS_AUTO: Observed = Observed::new(&AUTO);
 /// Size-aware dispatcher: picks [`Packed`] or [`Reference`] per call.
 pub struct Auto;
 
+/// The backend a product of `flops` multiply-add FLOPs with inner width `k`
+/// and output width `n` goes to.
 #[inline]
-fn pick(m: usize, k: usize, n: usize) -> &'static dyn KernelBackend {
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
+fn pick(flops: u64, k: usize, n: usize) -> &'static dyn KernelBackend {
     if flops >= MIN_FLOPS.load(Ordering::Relaxed) && k >= 8 && n >= NR / 2 {
         &PACKED
     } else {
         &REFERENCE
     }
+}
+
+/// The backend [`Auto`] routes `g` to: by [`Gemm::flops`], which for a
+/// block-list product counts only the active blocks.
+pub(crate) fn auto_pick(g: &Gemm<'_>) -> &'static dyn KernelBackend {
+    pick(g.flops(), g.k, g.n)
 }
 
 impl KernelBackend for Auto {
@@ -150,7 +161,7 @@ impl KernelBackend for Auto {
     }
 
     fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
-        pick(g.m, g.k, g.n).gemm(g, c, ldc)
+        auto_pick(g).gemm(g, c, ldc)
     }
 }
 
@@ -184,7 +195,7 @@ pub fn backend() -> &'static dyn KernelBackend {
 /// Name of the backend [`Auto`] would route an `m×k×n` call to right now
 /// (benches report this next to their measurements).
 pub fn auto_choice(m: usize, k: usize, n: usize) -> &'static str {
-    pick(m, k, n).name()
+    pick(2 * (m as u64) * (k as u64) * (n as u64), k, n).name()
 }
 
 /// Look a backend up by name (benches and differential tests).
@@ -451,14 +462,66 @@ fn json_str(text: &str, key: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockList;
 
     #[test]
     fn default_policy_routes_small_to_reference() {
-        assert_eq!(pick(4, 4, 4).name(), "reference");
-        assert_eq!(pick(512, 512, 512).name(), "packed");
+        assert_eq!(auto_choice(4, 4, 4), "reference");
+        assert_eq!(auto_choice(512, 512, 512), "packed");
         // Narrow K or N never packs, whatever the FLOP count.
-        assert_eq!(pick(100_000, 4, 100).name(), "reference");
-        assert_eq!(pick(100_000, 100, 4).name(), "reference");
+        assert_eq!(auto_choice(100_000, 4, 100), "reference");
+        assert_eq!(auto_choice(100_000, 100, 4), "reference");
+    }
+
+    #[test]
+    fn block_lists_route_on_active_flops() {
+        // A 16×16 grid of 16×16 blocks (s = 256), dh = 32. Lower triangle
+        // active: 136 blocks, 2·136·256·32 ≈ 2.2 MFLOP → packed; the diagonal
+        // alone (16 blocks, 0.26 MFLOP) stays on the reference loops, although
+        // both descriptors name the same 256×32×256 dense shape.
+        let (n, b, dh) = (16usize, 16usize, 32usize);
+        let s = n * b;
+        let (q, k) = (vec![0.0f32; s * dh], vec![0.0f32; s * dh]);
+        for (lower, want) in [(true, "packed"), (false, "reference")] {
+            let mut row_ptr = vec![0u32];
+            let mut col_idx = Vec::new();
+            for r in 0..n as u32 {
+                col_idx.extend(if lower { 0..r + 1 } else { r..r + 1 });
+                row_ptr.push(col_idx.len() as u32);
+            }
+            let (col_ptr, row_idx, csc) = csc_of(n, &row_ptr, &col_idx);
+            let view = BlockList {
+                block: b,
+                row_ptr: &row_ptr,
+                col_idx: &col_idx,
+                col_ptr: &col_ptr,
+                row_idx: &row_idx,
+                csc_to_csr: &csc,
+            };
+            let g = Gemm::nt(s, dh, s, &q, dh, &k[..], dh).blocks(view);
+            assert_eq!(auto_pick(&g).name(), want);
+        }
+    }
+
+    /// CSC arrays of a CSR block list (test helper).
+    fn csc_of(n: usize, row_ptr: &[u32], col_idx: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let mut entries: Vec<(u32, u32, u32)> = Vec::new();
+        for r in 0..n {
+            for e in row_ptr[r]..row_ptr[r + 1] {
+                entries.push((col_idx[e as usize], r as u32, e));
+            }
+        }
+        entries.sort_unstable();
+        let mut col_ptr = vec![0u32; n + 1];
+        for &(c, _, _) in &entries {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let row_idx = entries.iter().map(|e| e.1).collect();
+        let csc = entries.iter().map(|e| e.2).collect();
+        (col_ptr, row_idx, csc)
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! process-wide backend (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`,
 //! default `auto`). [`gemm`] is the contiguous f32 shorthand; `lx-tensor`
 //! builds descriptors for its tensor-level products, and the sparse operators
-//! in `lx-sparse` issue strided descriptors directly so block and
-//! neuron-slab GEMMs hit the same microkernels.
+//! in `lx-sparse` issue descriptors directly — one per attention head with
+//! the head's [`BlockList`] attached, strided windows for the neuron slabs —
+//! so block-sparse and dense work hit the same microkernels.
 
 mod backend;
 mod descriptor;
@@ -45,7 +46,7 @@ mod observe;
 mod packed;
 
 pub use backend::{KernelBackend, Reference};
-pub use descriptor::{BOperand, Gemm};
+pub use descriptor::{BOperand, BlockList, Gemm};
 pub use dispatch::{
     auto_choice, autotune, backend, backend_by_name, current_policy, force_scalar, install_policy,
     invalidate_stale_policy, load_policy_json, save_policy_json, Auto, KernelPolicy,

@@ -11,12 +11,13 @@
 //! Call counting is one relaxed atomic add; per-call *latency*
 //! (`kernel.gemm.ns{…}`) is only measured while
 //! [`lx_obs::timing_enabled`] — two `Instant` reads per GEMM are noise for
-//! Fig. 12 shapes but not for the thousands of tiny per-block sparse GEMMs,
-//! and the disabled path must stay under the 1% `step_bench` overhead gate.
+//! Fig. 12 shapes but not for a step's hundreds of small adapter and slab
+//! GEMMs, and the disabled path must stay under the 1% `step_bench`
+//! overhead gate.
 
 use crate::backend::KernelBackend;
 use crate::descriptor::{BOperand, Gemm};
-use crate::dispatch::auto_choice;
+use crate::dispatch::auto_pick;
 use lx_obs::{registry, timing_enabled, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -24,10 +25,10 @@ use std::time::Instant;
 /// FLOP-count shape classes for GEMM attribution.
 const CLASSES: [&str; 4] = ["tiny", "small", "medium", "large"];
 
-/// Class index by `2·m·k·n` FLOPs: tiny < 2^17 ≤ small < 2^21 ≤ medium
-/// < 2^25 ≤ large.
-fn class(m: usize, k: usize, n: usize) -> usize {
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
+/// Class index by [`Gemm::flops`] (`2·m·k·n`, or the active blocks' share
+/// of a block-list product): tiny < 2^17 ≤ small < 2^21 ≤ medium < 2^25 ≤
+/// large.
+fn class(flops: u64) -> usize {
     match flops {
         f if f < 1 << 17 => 0,
         f if f < 1 << 21 => 1,
@@ -86,12 +87,12 @@ impl Observed {
         Observed { inner }
     }
 
-    /// The backend name a call of this shape is attributed to (resolves
-    /// `auto` to its routed choice).
-    fn attribute(&self, m: usize, k: usize, n: usize) -> &'static str {
+    /// The backend name `g` is attributed to (resolves `auto` to its routed
+    /// choice).
+    fn attribute(&self, g: &Gemm<'_>) -> &'static str {
         let name = self.inner.name();
         if name == "auto" {
-            auto_choice(m, k, n)
+            auto_pick(g).name()
         } else {
             name
         }
@@ -104,11 +105,7 @@ impl KernelBackend for Observed {
     }
 
     fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
-        let s = stats(
-            self.attribute(g.m, g.k, g.n),
-            class(g.m, g.k, g.n),
-            g.b.kind(),
-        );
+        let s = stats(self.attribute(g), class(g.flops()), g.b.kind());
         if timing_enabled() {
             let t0 = Instant::now();
             self.inner.gemm(g, c, ldc);
@@ -142,6 +139,7 @@ mod tests {
 
     #[test]
     fn shape_classes_split_at_flop_boundaries() {
+        let class = |m: u64, k: u64, n: u64| class(2 * m * k * n);
         assert_eq!(class(4, 4, 4), 0);
         assert_eq!(class(32, 64, 32), 1); // 2·32·64·32 = 2^17 exactly: first small shape
         assert_eq!(class(64, 64, 64), 1);

@@ -31,22 +31,39 @@
 //!   bandwidth-friendly. C row chunks are worker-disjoint (`par_rows`
 //!   split_at_mut carving), so one big GEMM saturates all `LX_THREADS`
 //!   workers.
-//! * Nested calls (a GEMM issued from inside a pool worker, e.g. the
-//!   per-block GEMMs of the sparse slab kernels) detect
+//! * Nested calls (a GEMM issued from inside a pool task, e.g. a head's
+//!   block-list products inside the attention layer's (batch × head) tasks,
+//!   or the slab GEMMs of the neuron-sparse kernels) detect
 //!   [`lx_parallel::in_worker`] via [`crate::sequential_mode`] and run the
-//!   whole macro-kernel on the calling thread instead of oversubscribing the
-//!   pool.
+//!   whole macro-kernel on the calling thread: no nested scope, so the task's
+//!   thread never help-drains sibling tasks while it holds pack buffers.
 //! * A fused [`Epilogue`] is applied to each register tile immediately after
 //!   its **final** k-block is accumulated — i.e. after the complete
 //!   `beta·C + ΣA·B` sum, in the same element order as an unfused bias or
 //!   GELU pass — so fused results are bit-identical to unfused ones while
 //!   the separate read-modify-write passes over C disappear.
 //!
+//! A block-list product ([`Gemm::blocks`]) runs the same microkernels over
+//! its active blocks only, one task per run of block-rows (block-columns for
+//! DSD-tn):
+//!
+//! * SDD packs the dense B (K of the scores) **once** per k-block, each
+//!   block-column into its own zero-padded `NR` panels, then packs each
+//!   block-row's A rows and runs the microkernels over that row's active
+//!   blocks, writing the block-major score data in place;
+//! * DSD and DSD-tn run the macro-kernel above per block-row (block-column),
+//!   with the pack routines gathering the line's blocks and the matching
+//!   rows of B straight into the panels.
+//!
+//! Every line therefore computes exactly what the dense macro-kernel computes
+//! on the explicitly gathered operands — bit for bit, since each output
+//! element sees the same packed k-sequence.
+//!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{row_grain, scale_only, KernelBackend};
-use crate::descriptor::{BOperand, Gemm};
+use crate::backend::{for_lines, line_grain, line_span, row_grain, scale_only, KernelBackend};
+use crate::descriptor::{BOperand, BlockList, Gemm};
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
@@ -355,19 +372,18 @@ fn pack_b<S: PackSrc + ?Sized>(
     let panel_len = kc * nr;
     out.clear();
     out.resize(panels * panel_len, 0.0);
-    let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
-        for (pi, panel) in prange.enumerate() {
-            let j0 = panel * nr;
-            let width = nr.min(nc - j0);
-            let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            // The panel buffer is freshly zeroed above, so the source's fill
-            // hook (elementwise default, or a sparsity-aware override that
-            // skips zero groups) only needs to store nonzero elements.
-            match layout {
-                Layout::Normal => b.fill_panel_normal(dst, ldb, pc, kc, jc + j0, width, nr),
-                Layout::Transposed => b.fill_panel_transposed(dst, ldb, pc, kc, jc + j0, width, nr),
-            }
-        }
+    let fill = |prange: Range<usize>, dst: &mut [f32]| {
+        fill_b_panels(
+            dst,
+            b,
+            ldb,
+            layout,
+            pc,
+            kc,
+            jc + prange.start * nr,
+            nc - prange.start * nr,
+            nr,
+        );
     };
     // Each task should pack a cache-friendly stretch of panels; packing is
     // bandwidth-bound, so only fan out when there is real work to split.
@@ -379,13 +395,44 @@ fn pack_b<S: PackSrc + ?Sized>(
     }
 }
 
+/// Fill the pre-zeroed panels `dst` (`kc·nr` elements each) with B's columns
+/// `jc .. jc + nc`, at most `dst.len() / (kc·nr)` panels of them.
+#[allow(clippy::too_many_arguments)]
+fn fill_b_panels<S: PackSrc + ?Sized>(
+    dst: &mut [f32],
+    b: &S,
+    ldb: usize,
+    layout: Layout,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    nr: usize,
+) {
+    // The panel buffer is zeroed by the caller, so the source's fill hook
+    // (elementwise default, or a sparsity-aware override that skips zero
+    // groups) only needs to store nonzero elements.
+    for (pi, panel) in dst.chunks_exact_mut(kc * nr).enumerate() {
+        let j0 = pi * nr;
+        if j0 >= nc {
+            break;
+        }
+        let width = nr.min(nc - j0);
+        match layout {
+            Layout::Normal => b.fill_panel_normal(panel, ldb, pc, kc, jc + j0, width, nr),
+            Layout::Transposed => b.fill_panel_transposed(panel, ldb, pc, kc, jc + j0, width, nr),
+        }
+    }
+}
+
 /// Pack `mc` rows × `kc` k-steps of A into `mr`-tall row panels:
 /// `out[panel][p·mr + i]` = A(ic + panel·mr + i, pc+p), zero-padded past
-/// `mc`.
+/// `mc`. An Ã panel is a B̃ panel of Aᵀ, so the source's fill hooks do the
+/// work with the layout flipped.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+fn pack_a<S: PackSrc + ?Sized>(
     out: &mut Vec<f32>,
-    a: &[f32],
+    a: &S,
     lda: usize,
     layout: Layout,
     ic: usize,
@@ -397,27 +444,12 @@ fn pack_a(
     let panels = mc.div_ceil(mr);
     out.clear();
     out.resize(panels * kc * mr, 0.0);
-    for panel in 0..panels {
+    for (panel, dst) in out.chunks_exact_mut(kc * mr).enumerate() {
         let i0 = panel * mr;
         let height = mr.min(mc - i0);
-        let dst = &mut out[panel * kc * mr..(panel + 1) * kc * mr];
         match layout {
-            Layout::Normal => {
-                for i in 0..height {
-                    let src = &a[(ic + i0 + i) * lda + pc..];
-                    for p in 0..kc {
-                        dst[p * mr + i] = src[p];
-                    }
-                }
-            }
-            Layout::Transposed => {
-                for p in 0..kc {
-                    let src = &a[(pc + p) * lda + ic + i0..];
-                    for i in 0..height {
-                        dst[p * mr + i] = src[i];
-                    }
-                }
-            }
+            Layout::Normal => a.fill_panel_transposed(dst, lda, pc, kc, ic + i0, height, mr),
+            Layout::Transposed => a.fill_panel_normal(dst, lda, pc, kc, ic + i0, height, mr),
         }
     }
 }
@@ -695,43 +727,74 @@ impl KernelBackend for Packed {
     /// runs unchanged on f32 panels and no f32 copy of B is materialised.
     fn gemm(&self, g: &Gemm<'_>, c: &mut [f32], ldc: usize) {
         g.check(c.len(), ldc);
+        if let Some(list) = &g.blocks {
+            return block_list(g, list, c, ldc);
+        }
+        fn run<B: PackSrc + ?Sized>(g: &Gemm<'_>, b: &B, c: &mut [f32], ldc: usize) {
+            let a = Src::new(g.a, g.lda, g.a_trans);
+            let b = Src::new(b, g.ldb, g.b_trans);
+            let seq = crate::sequential_mode();
+            driver((g.m, g.k, g.n), a, b, g.beta, g.ep, c, ldc, seq);
+        }
         match g.b {
-            BOperand::F32(b) => driver(g, b, c, ldc),
-            BOperand::F16(b) => driver(g, b, c, ldc),
-            BOperand::Q8(b) => driver(g, &b, c, ldc),
-            BOperand::Q4(b) => driver(g, &b, c, ldc),
-            BOperand::Nm(b) => driver(g, &b, c, ldc),
+            BOperand::F32(b) => run(g, b, c, ldc),
+            BOperand::F16(b) => run(g, b, c, ldc),
+            BOperand::Q8(b) => run(g, &b, c, ldc),
+            BOperand::Q4(b) => run(g, &b, c, ldc),
+            BOperand::Nm(b) => run(g, &b, c, ldc),
         }
     }
 }
 
-/// The blocked macro-kernel over any packable B (see the module docs).
-fn driver<S: PackSrc + ?Sized>(g: &Gemm<'_>, b: &S, c: &mut [f32], ldc: usize) {
-    let Gemm {
-        m,
-        k,
-        n,
-        a,
-        lda,
-        ldb,
-        beta,
-        ep,
-        ..
-    } = *g;
-    let (a_layout, b_layout) = (Layout::of(g.a_trans), Layout::of(g.b_trans));
+/// One macro-kernel operand: a packable source with its leading dimension
+/// and storage layout.
+struct Src<'s, S: ?Sized> {
+    data: &'s S,
+    ld: usize,
+    layout: Layout,
+}
+
+impl<S: ?Sized> Clone for Src<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: ?Sized> Copy for Src<'_, S> {}
+
+impl<'s, S: ?Sized> Src<'s, S> {
+    fn new(data: &'s S, ld: usize, transposed: bool) -> Self {
+        Src {
+            data,
+            ld,
+            layout: Layout::of(transposed),
+        }
+    }
+}
+
+/// The blocked macro-kernel over any packable A and B (see the module docs):
+/// `C[m,n] = ep(beta·C + op(A)·op(B))`, on the calling thread when `seq`.
+#[allow(clippy::too_many_arguments)]
+fn driver<A: PackSrc + ?Sized, B: PackSrc + ?Sized>(
+    (m, k, n): (usize, usize, usize),
+    a: Src<'_, A>,
+    b: Src<'_, B>,
+    beta: f32,
+    ep: Epilogue<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    seq: bool,
+) {
     if m == 0 || n == 0 {
         return;
     }
     ep.check(n);
-    // Nested call (inside a pool worker) or explicit
-    // `with_sequential`: run the whole macro-kernel on this thread.
-    let seq = crate::sequential_mode();
     // One beta pass up front; every k-block then accumulates. The extra
     // sweep over C costs O(m·n) against the O(m·n·k) product and only
     // runs for shapes the dispatcher already deemed compute-bound —
     // accepted in exchange for a branch-free microkernel write-back.
     if beta != 1.0 {
-        scale_only(c, m, n, ldc, beta);
+        scale_only(c, m, n, ldc, beta, seq);
     }
     if k == 0 {
         // Degenerate product: the "sum" is just the beta pre-scale, so
@@ -759,7 +822,9 @@ fn driver<S: PackSrc + ?Sized>(g: &Gemm<'_>, b: &S, c: &mut [f32], ldc: usize) {
             // The epilogue folds into the write-back of the *final*
             // k-block only, i.e. after the complete accumulated sum.
             let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
-            pack_b(&mut bpack, b, ldb, b_layout, pc, kc, jc, nc, tnr, !seq);
+            pack_b(
+                &mut bpack, b.data, b.ld, b.layout, pc, kc, jc, nc, tnr, !seq,
+            );
             let bpack_ref = &bpack;
             let grain = row_grain(kc, nc).max(tmr);
             let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
@@ -768,7 +833,7 @@ fn driver<S: PackSrc + ?Sized>(g: &Gemm<'_>, b: &S, c: &mut [f32], ldc: usize) {
                     let mut ic = rows.start;
                     while ic < rows.end {
                         let mcb = mc.min(rows.end - ic);
-                        pack_a(apack, a, lda, a_layout, ic, mcb, pc, kc, tmr);
+                        pack_a(apack, a.data, a.ld, a.layout, ic, mcb, pc, kc, tmr);
                         for jr in (0..nc).step_by(tnr) {
                             let nr = tnr.min(nc - jr);
                             let bp = &bpack_ref[(jr / tnr) * kc * tnr..];
@@ -804,4 +869,212 @@ fn driver<S: PackSrc + ?Sized>(g: &Gemm<'_>, b: &S, c: &mut [f32], ldc: usize) {
         jc += nc;
     }
     PACK_B.with(|b| *b.borrow_mut() = bpack);
+}
+
+/// Rows of a row-major matrix gathered in groups of `b`: logical row `r` is
+/// `width` elements at `data[idx[r / b]·mul + (r % b)·step ..]`. This is
+/// the B operand of a DSD (DSD-tn) line — the rows of V (X) under the line's
+/// active blocks — and the transposed A of a DSD-tn line, whose storage
+/// rows are the rows of the column's blocks.
+struct GatheredRows<'a> {
+    data: &'a [f32],
+    idx: &'a [u32],
+    b: usize,
+    mul: usize,
+    step: usize,
+    width: usize,
+}
+
+impl GatheredRows<'_> {
+    #[inline(always)]
+    fn row(&self, r: usize) -> &[f32] {
+        let start = self.idx[r / self.b] as usize * self.mul + (r % self.b) * self.step;
+        &self.data[start..start + self.width]
+    }
+}
+
+impl PackSrc for GatheredRows<'_> {
+    fn load(&self, idx: usize) -> f32 {
+        self.row(idx / self.width)[idx % self.width]
+    }
+
+    /// Row `pc + p` of the gathered matrix is one contiguous source row.
+    fn fill_panel_normal(
+        &self,
+        dst: &mut [f32],
+        _ldb: usize,
+        pc: usize,
+        kc: usize,
+        col0: usize,
+        width: usize,
+        nr: usize,
+    ) {
+        for (p, dst_row) in dst.chunks_exact_mut(nr).take(kc).enumerate() {
+            dst_row[..width].copy_from_slice(&self.row(pc + p)[col0..col0 + width]);
+        }
+    }
+}
+
+/// One block-row of block data, as the `b × cnt·b` A of a DSD line: column
+/// `c` is column `c % b` of the row's `c / b`-th block, so
+/// `A(i, c) = data[(c / b)·b² + i·b + c % b]`.
+struct BlockRowA<'a> {
+    data: &'a [f32],
+    b: usize,
+}
+
+impl PackSrc for BlockRowA<'_> {
+    fn load(&self, idx: usize) -> f32 {
+        let k = self.data.len() / self.b;
+        let (i, c) = (idx / k, idx % k);
+        self.data[(c / self.b) * self.b * self.b + i * self.b + c % self.b]
+    }
+
+    /// Ã panel of rows `col0 ..`: k-step `pc + p` reads one block column.
+    fn fill_panel_transposed(
+        &self,
+        dst: &mut [f32],
+        _lda: usize,
+        pc: usize,
+        kc: usize,
+        col0: usize,
+        width: usize,
+        nr: usize,
+    ) {
+        let b = self.b;
+        for (p, dst_col) in dst.chunks_exact_mut(nr).take(kc).enumerate() {
+            let c = pc + p;
+            let col = &self.data[(c / b) * b * b + c % b..];
+            for (i, d) in dst_col[..width].iter_mut().enumerate() {
+                *d = col[(col0 + i) * b];
+            }
+        }
+    }
+}
+
+/// A block-list product ([`Gemm::blocks`]) on the packed microkernels; see
+/// the module docs.
+fn block_list(g: &Gemm<'_>, l: &BlockList<'_>, c: &mut [f32], ldc: usize) {
+    let BOperand::F32(bm) = g.b else {
+        unreachable!("checked: block lists take an f32 B")
+    };
+    let (b, n) = (l.block, g.n);
+    let seq = crate::sequential_mode();
+    let grain = line_grain(g, l.grid());
+    if g.b_trans {
+        return sdd(g, l, bm, c, seq, grain);
+    }
+    let span = line_span(l, false, n, ldc);
+    // DSD / DSD-tn: each line is the dense macro-kernel on its gathered
+    // operands, `b × cnt·b` times `cnt·b × n`, into its own `b` rows of C.
+    for_lines(c, l.grid(), span, grain, seq, |lines, chunk, base| {
+        for line in lines {
+            let out = &mut chunk[line * b * ldc - base..][..(b - 1) * ldc + n];
+            let entries = if g.a_trans { l.col(line) } else { l.row(line) };
+            let k = entries.len() * b;
+            let rows_of = |idx| GatheredRows {
+                data: bm,
+                idx,
+                b,
+                mul: b * g.ldb,
+                step: g.ldb,
+                width: n,
+            };
+            if g.a_trans {
+                let a = GatheredRows {
+                    data: g.a,
+                    idx: &l.csc_to_csr[entries.clone()],
+                    b,
+                    mul: b * b,
+                    step: b,
+                    width: b,
+                };
+                let x = rows_of(&l.row_idx[entries]);
+                let (a, x) = (Src::new(&a, b, true), Src::new(&x, n, false));
+                driver((b, k, n), a, x, g.beta, Epilogue::None, out, ldc, true);
+            } else {
+                let a = BlockRowA {
+                    data: &g.a[entries.start * b * b..entries.end * b * b],
+                    b,
+                };
+                let v = rows_of(&l.col_idx[entries]);
+                let (a, v) = (Src::new(&a, k, false), Src::new(&v, n, false));
+                driver((b, k, n), a, v, g.beta, Epilogue::None, out, ldc, true);
+            }
+        }
+    });
+}
+
+/// SDD over a block list: per k-block, pack B (the `s×k` K, read
+/// transposed) once — block-column `bc` as its own zero-padded `NR` panels —
+/// then per block-row pack its `b` rows of A and run the microkernels over
+/// the row's active blocks, straight into the block data.
+fn sdd(g: &Gemm<'_>, l: &BlockList<'_>, bm: &[f32], c: &mut [f32], seq: bool, grain: usize) {
+    let (b, k) = (l.block, g.k);
+    let bb = b * b;
+    if g.beta != 1.0 {
+        scale_only(c, l.nnz() * b, b, b, g.beta, seq);
+    }
+    if k == 0 || l.nnz() == 0 {
+        return;
+    }
+    let isa = active_isa();
+    let (tmr, tnr) = isa.tile();
+    let t = tiles();
+    let (mc, kc_max) = (t.mc.max(tmr), t.kc.max(1));
+    let panels = b.div_ceil(tnr);
+    let span = line_span(l, true, b, b);
+    let mut bpack = PACK_B.with(|p| std::mem::take(&mut *p.borrow_mut()));
+    let mut pc = 0;
+    while pc < k {
+        let kc = kc_max.min(k - pc);
+        let col_len = panels * kc * tnr;
+        bpack.clear();
+        bpack.resize(l.grid() * col_len, 0.0);
+        for (bc, dst) in bpack.chunks_exact_mut(col_len).enumerate() {
+            if !l.col(bc).is_empty() {
+                fill_b_panels(dst, bm, g.ldb, Layout::Transposed, pc, kc, bc * b, b, tnr);
+            }
+        }
+        let bpack = &bpack;
+        for_lines(c, l.grid(), &span, grain, seq, |lines, chunk, base| {
+            PACK_A.with(|apack| {
+                let apack = &mut *apack.borrow_mut();
+                for br in lines {
+                    let mut ic = 0;
+                    while ic < b {
+                        let mcb = mc.min(b - ic);
+                        pack_a(
+                            apack,
+                            g.a,
+                            g.lda,
+                            Layout::Normal,
+                            br * b + ic,
+                            mcb,
+                            pc,
+                            kc,
+                            tmr,
+                        );
+                        for e in l.row(br) {
+                            let col = &bpack[l.col_idx[e] as usize * col_len..][..col_len];
+                            let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
+                            for jr in (0..b).step_by(tnr) {
+                                let nr = tnr.min(b - jr);
+                                let bp = &col[(jr / tnr) * kc * tnr..];
+                                for ir in (0..mcb).step_by(tmr) {
+                                    let mr = tmr.min(mcb - ir);
+                                    let ap = &apack[(ir / tmr) * kc * tmr..];
+                                    let off = (ic + ir) * b + jr;
+                                    microkernel(isa, kc, ap, bp, &mut blk[off..], b, mr, nr);
+                                }
+                            }
+                        }
+                        ic += mcb;
+                    }
+                }
+            });
+        });
+        pc += kc;
+    }
+    PACK_B.with(|p| *p.borrow_mut() = bpack);
 }

@@ -4,12 +4,14 @@
 //! The sparse path computes scores only on active blocks (SDD), softmaxes
 //! over the sparse rows, and contracts with V (DSD); the backward pass reuses
 //! the cached layout so inactive blocks never contribute gradients — the
-//! paper's §II-D invariant.
+//! paper's §II-D invariant. Each layer pass is one pool dispatch of
+//! (batch × head) tasks: a task runs its head's kernels back to back, each
+//! kernel one GEMM over the head's active-block list.
 
 use crate::linear::Linear;
 use crate::param::Param;
 use lx_sparse::attention::{
-    block_row_softmax, block_row_softmax_backward, dsd, dsd_tn, sdd_nt, CausalFill,
+    block_row_softmax, block_row_softmax_backward, dsd, dsd_tn, for_each_head, sdd_nt, CausalFill,
 };
 use lx_sparse::MultiHeadLayout;
 use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
@@ -129,43 +131,29 @@ impl MultiHeadAttention {
                 (ctx, CacheMode::Dense { probs })
             }
             Some(layout) => {
-                assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
-                let total = layout.total_data_len;
-                let mut probs = Tensor::zeros(&[batch, total]);
-                let mut ctx = Tensor::zeros(&[batch * self.n_heads * seq, self.head_dim]);
-                for b in 0..batch {
-                    for h in 0..self.n_heads {
-                        let head_layout = &layout.heads[h];
-                        assert_eq!(
-                            head_layout.n_brows * head_layout.block_size,
-                            seq,
-                            "layout grid must match seq"
-                        );
-                        let off = (b * self.n_heads + h) * seq;
-                        let qs = rows(&q, off, seq, self.head_dim);
-                        let ks = rows(&k, off, seq, self.head_dim);
-                        let vs = rows(&v, off, seq, self.head_dim);
-                        let dr = layout.head_data_range(h);
-                        let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total][dr];
-                        sdd_nt(
-                            qs,
-                            ks,
-                            seq,
-                            self.head_dim,
-                            scale,
-                            head_layout,
-                            CausalFill::NegInf,
-                            p,
-                        );
-                        if let Some(slopes) = &self.alibi_slopes {
-                            apply_alibi_blocks(p, head_layout, slopes[h]);
-                        }
-                        block_row_softmax(p, head_layout);
-                        let c = &mut ctx.as_mut_slice()
-                            [off * self.head_dim..(off + seq) * self.head_dim];
-                        dsd(p, vs, seq, self.head_dim, head_layout, c);
+                let (heads, dh) = (self.n_heads, self.head_dim);
+                check_layout(layout, heads, seq);
+                let mut probs = Tensor::zeros(&[batch, layout.total_data_len]);
+                let mut ctx = Tensor::zeros(&[batch * heads * seq, dh]);
+                let slopes = self.alibi_slopes.as_deref();
+                let items: Vec<_> = head_blocks(probs.as_mut_slice(), layout, batch)
+                    .into_iter()
+                    .zip(ctx.as_mut_slice().chunks_mut(seq * dh))
+                    .enumerate()
+                    .collect();
+                // One task per (batch, head): SDD → ALiBi → softmax → DSD.
+                for_each_head(items, |(bh, (p, c))| {
+                    let h = bh % heads;
+                    let hl = &layout.heads[h];
+                    let off = bh * seq;
+                    let (qs, ks) = (rows(&q, off, seq, dh), rows(&k, off, seq, dh));
+                    sdd_nt(qs, ks, seq, dh, scale, hl, CausalFill::NegInf, p);
+                    if let Some(slopes) = slopes {
+                        apply_alibi_blocks(p, hl, slopes[h]);
                     }
-                }
+                    block_row_softmax(p, hl);
+                    dsd(p, rows(&v, off, seq, dh), seq, dh, hl, c);
+                });
                 (
                     ctx,
                     CacheMode::Sparse {
@@ -241,48 +229,37 @@ impl MultiHeadAttention {
                 }
             }
             CacheMode::Sparse { layout, probs } => {
+                // dP, then dS in place, per head.
                 let total = layout.total_data_len;
-                for b in 0..batch {
-                    for h in 0..heads {
-                        let head_layout = &layout.heads[h];
-                        let off = (b * heads + h) * seq;
-                        let qs = rows(&cache.q, off, seq, dh);
-                        let ks = rows(&cache.k, off, seq, dh);
-                        let vs = rows(&cache.v, off, seq, dh);
-                        let dc = rows(&dctx, off, seq, dh);
-                        let dr = layout.head_data_range(h);
-                        let p = &probs.as_slice()[b * total..(b + 1) * total][dr];
-                        // dP on active blocks only (SDD with zero fill);
-                        // pooled scratch sized per head layout.
-                        let mut dp_t = Tensor::zeros(&[head_layout.data_len()]);
-                        let dp = dp_t.as_mut_slice();
-                        sdd_nt(dc, vs, seq, dh, 1.0, head_layout, CausalFill::Zero, dp);
-                        let mut ds_t = Tensor::zeros(&[head_layout.data_len()]);
-                        let ds = ds_t.as_mut_slice();
-                        block_row_softmax_backward(p, dp, head_layout, ds);
-                        for v in ds.iter_mut() {
-                            *v *= scale;
-                        }
-                        let ds: &[f32] = ds;
-                        dsd(
-                            ds,
-                            ks,
-                            seq,
-                            dh,
-                            head_layout,
-                            rows_mut(&mut dq, off, seq, dh),
-                        );
-                        dsd_tn(
-                            ds,
-                            qs,
-                            seq,
-                            dh,
-                            head_layout,
-                            rows_mut(&mut dk, off, seq, dh),
-                        );
-                        dsd_tn(p, dc, seq, dh, head_layout, rows_mut(&mut dv, off, seq, dh));
+                let mut ds = Tensor::zeros(&[batch, total]);
+                let items: Vec<_> = head_blocks(ds.as_mut_slice(), layout, batch)
+                    .into_iter()
+                    .zip(dq.as_mut_slice().chunks_mut(seq * dh))
+                    .zip(dk.as_mut_slice().chunks_mut(seq * dh))
+                    .zip(dv.as_mut_slice().chunks_mut(seq * dh))
+                    .enumerate()
+                    .collect();
+                // One task per (batch, head): SDD, softmax', DSD and two
+                // DSD-tn into the head's own dq/dk/dv rows.
+                for_each_head(items, |(bh, (((ds, dqs), dks), dvs))| {
+                    let (b, h) = (bh / heads, bh % heads);
+                    let hl = &layout.heads[h];
+                    let off = bh * seq;
+                    let qs = rows(&cache.q, off, seq, dh);
+                    let ks = rows(&cache.k, off, seq, dh);
+                    let vs = rows(&cache.v, off, seq, dh);
+                    let dc = rows(&dctx, off, seq, dh);
+                    let p = &probs.as_slice()[b * total..][layout.head_data_range(h)];
+                    // dP on active blocks only (SDD with zero fill).
+                    sdd_nt(dc, vs, seq, dh, 1.0, hl, CausalFill::Zero, ds);
+                    block_row_softmax_backward(p, ds, hl);
+                    for v in ds.iter_mut() {
+                        *v *= scale;
                     }
-                }
+                    dsd(ds, ks, seq, dh, hl, dqs);
+                    dsd_tn(ds, qs, seq, dh, hl, dks);
+                    dsd_tn(p, dc, seq, dh, hl, dvs);
+                });
             }
         }
         let dq_m = merge_heads(&dq, batch, seq, heads, dh);
@@ -344,6 +321,35 @@ pub fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize
                 let dst = out.row_mut(b * seq + s);
                 dst[h * dh..(h + 1) * dh].copy_from_slice(src);
             }
+        }
+    }
+    out
+}
+
+fn check_layout(layout: &MultiHeadLayout, heads: usize, seq: usize) {
+    assert_eq!(layout.n_heads(), heads, "layout heads");
+    for hl in &layout.heads {
+        assert_eq!(
+            hl.n_brows * hl.block_size,
+            seq,
+            "layout grid must match seq"
+        );
+    }
+}
+
+/// Split `[batch, total]` block data into its per-(batch, head) spans, in
+/// (batch, head) order.
+fn head_blocks<'a>(
+    mut data: &'a mut [f32],
+    layout: &MultiHeadLayout,
+    batch: usize,
+) -> Vec<&'a mut [f32]> {
+    let mut out = Vec::with_capacity(batch * layout.n_heads());
+    for _ in 0..batch {
+        for hl in &layout.heads {
+            let (head, rest) = std::mem::take(&mut data).split_at_mut(hl.data_len());
+            out.push(head);
+            data = rest;
         }
     }
     out

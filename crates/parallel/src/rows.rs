@@ -17,6 +17,9 @@
 //!   `Range<usize>` spans of `data` (CSR block-rows, scattered weight
 //!   columns). Tasks get contiguous runs of spans and the one slice covering
 //!   them.
+//! * [`par_each`] — pre-carved items: the caller splits its outputs into
+//!   per-task pieces (several buffers per task, e.g. one attention head's
+//!   scores, context and gradient rows) and each item becomes one task.
 
 use crate::pool::{pool, split_range, ThreadPool};
 use std::ops::Range;
@@ -128,6 +131,37 @@ impl ThreadPool {
     }
 }
 
+impl ThreadPool {
+    /// Run `body(item)` for every item, one task per item, blocking (and
+    /// helping) until all finish. Items typically own disjoint `&mut`
+    /// pieces of the caller's outputs. A single item runs inline on the
+    /// calling thread.
+    pub fn par_each<T, F>(&self, items: Vec<T>, body: F)
+    where
+        T: Send,
+        F: Fn(T) + Sync,
+    {
+        if items.len() <= 1 {
+            return items.into_iter().for_each(body);
+        }
+        let body_ref = &body;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+            .into_iter()
+            .map(|item| Box::new(move || body_ref(item)) as Box<dyn FnOnce() + Send + '_>)
+            .collect();
+        self.run_scoped(tasks);
+    }
+}
+
+/// [`ThreadPool::par_each`] on the global pool.
+pub fn par_each<T, F>(items: Vec<T>, body: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    pool().par_each(items, body)
+}
+
 /// [`ThreadPool::par_rows`] on the global pool.
 pub fn par_rows<T, F>(data: &mut [T], rows: usize, row_stride: usize, grain: usize, body: F)
 where
@@ -165,6 +199,20 @@ mod tests {
             for c in 0..stride {
                 assert_eq!(data[r * stride + c], r as u32 + 1, "row {r} col {c}");
             }
+        }
+    }
+
+    #[test]
+    fn par_each_runs_every_item_once() {
+        let mut data = [0u32; 40];
+        let items: Vec<(usize, &mut [u32])> = data.chunks_mut(7).enumerate().collect();
+        par_each(items, |(i, chunk)| {
+            for v in chunk {
+                *v += i as u32 + 1;
+            }
+        });
+        for (j, v) in data.iter().enumerate() {
+            assert_eq!(*v, (j / 7) as u32 + 1, "element {j}");
         }
     }
 

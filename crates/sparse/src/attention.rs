@@ -11,16 +11,19 @@
 //! `data[e·b² .. (e+1)·b²]`, row-major within the block. Entries of one
 //! block-row are contiguous, so row-wise softmax touches a contiguous span.
 //!
-//! Every per-block product is issued through the `lx-kernels`
-//! [`KernelBackend`](lx_kernels::KernelBackend) as a strided GEMM, so block-sparse work and dense work
-//! hit the *same* microkernels and the dispatcher decides per block shape
-//! whether packing pays off. Task-level parallelism splits block-rows (or
-//! block-columns for the transposed kernels) with the safe
-//! `lx_parallel::{par_rows, par_disjoint}` helpers.
+//! Each kernel is **one** `lx-kernels` GEMM over the whole head: the
+//! descriptor carries the layout's block list
+//! ([`BlockCsr::view`], [`Gemm::blocks`]), so block-sparse and dense work
+//! hit the same microkernels and the dispatcher routes a head on its active
+//! FLOPs. The packed backend packs the head's dense operand once and runs
+//! its microkernels over the active blocks, splitting block-rows (or
+//! block-columns) across the pool — unless the call is already inside a pool
+//! task, such as the attention layer's (batch × head) tasks, where the whole
+//! head runs on the task's thread. The softmax passes follow the same rule.
 
 use crate::layout::BlockCsr;
-use lx_kernels::Gemm;
-use lx_parallel::{par_disjoint, par_rows};
+use lx_kernels::{sequential_mode, Gemm};
+use lx_parallel::par_disjoint;
 use std::ops::Range;
 
 /// What to write into causally-masked positions of diagonal blocks.
@@ -56,19 +59,46 @@ fn check_dims(layout: &BlockCsr, s: usize) {
     );
 }
 
-/// Per-block-row spans of the CSR block data (entry `e` owns `b²` elements).
-fn row_data_spans(layout: &BlockCsr) -> Vec<Range<usize>> {
+/// Run `body(block_rows, chunk, base)` over the block-rows of block data:
+/// `chunk` covers the rows' data and starts at element `base`. Rows go to
+/// the pool unless this thread must stay sequential (a pool task, or
+/// [`lx_kernels::with_sequential`]); rows are independent, so both arms
+/// produce the same bits.
+fn for_block_rows<F>(data: &mut [f32], layout: &BlockCsr, body: F)
+where
+    F: Fn(Range<usize>, &mut [f32], usize) + Sync,
+{
+    if sequential_mode() {
+        return body(0..layout.n_brows, data, 0);
+    }
     let bb = layout.block_size * layout.block_size;
-    (0..layout.n_brows)
+    let spans: Vec<Range<usize>> = (0..layout.n_brows)
         .map(|br| layout.row_ptr[br] as usize * bb..layout.row_ptr[br + 1] as usize * bb)
-        .collect()
+        .collect();
+    par_disjoint(data, &spans, 1, |brs, chunk| {
+        let base = spans[brs.start].start;
+        body(brs, chunk, base)
+    });
+}
+
+/// Run `task` over per-(batch, head) items as one pool dispatch — each
+/// head's kernels then run one after another on its task's thread — or all
+/// on this thread when it must stay sequential. Every head is computed the
+/// same way on either arm, so the results are bit-identical.
+pub fn for_each_head<T: Send>(items: Vec<T>, task: impl Fn(T) + Sync) {
+    if sequential_mode() {
+        items.into_iter().for_each(task);
+    } else {
+        lx_parallel::par_each(items, task);
+    }
 }
 
 /// SDD: `out_blocks = scale · A·Bᵀ` on active blocks only.
 ///
 /// `a` and `b_mat` are `s×dh` row-major (Q and K for the forward scores;
 /// dO and V for the `dP` backward). `out` must have `layout.data_len()`
-/// elements. Masked positions of diagonal blocks get `fill`.
+/// elements. Masked positions of diagonal blocks get `fill`: diagonal blocks
+/// compute the full `b×b` product and then overwrite the masked half.
 #[allow(clippy::too_many_arguments)]
 pub fn sdd_nt(
     a: &[f32],
@@ -85,38 +115,27 @@ pub fn sdd_nt(
     assert_eq!(a.len(), s * dh, "SDD: A is s×dh");
     assert_eq!(b_mat.len(), s * dh, "SDD: B is s×dh");
     assert_eq!(out.len(), layout.data_len(), "SDD: out sized to layout");
+    let g = Gemm::nt(s, dh, s, a, dh, b_mat, dh).blocks(layout.view());
+    lx_kernels::backend().gemm(&g, out, b);
     let fillv = fill_value(fill);
-    let be = lx_kernels::backend();
+    if scale == 1.0 && fillv.is_none() {
+        return;
+    }
     let bb = b * b;
-    let spans = row_data_spans(layout);
-    // One task per run of block-rows: a row's entries own disjoint,
-    // contiguous `out` spans.
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    par_disjoint(out, &spans, grain, |brs, chunk| {
-        let base = spans[brs.start].start;
+    for_block_rows(out, layout, |brs, chunk, base| {
         for br in brs {
-            let a_rows = &a[br * b * dh..(br + 1) * b * dh];
             for e in layout.row_entries(br) {
-                let bc = layout.col_idx[e] as usize;
                 let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
-                let b_rows = &b_mat[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm(&Gemm::nt(b, dh, b, a_rows, dh, b_rows, dh), blk, b);
                 if scale != 1.0 {
                     for v in blk.iter_mut() {
                         *v *= scale;
                     }
                 }
-                if let Some(fv) = fillv {
-                    // Causal masking at element granularity. Diagonal blocks
-                    // compute the full b×b product and then overwrite the
-                    // masked half — the vectorised block GEMM beats the old
-                    // skip-per-element scalar loop even doing 2× the MACs.
-                    for i in 0..b {
-                        let first_masked = (br * b + i + 1).saturating_sub(bc * b).min(b);
-                        for v in &mut blk[i * b + first_masked..(i + 1) * b] {
-                            *v = fv;
-                        }
-                    }
+                let Some(fv) = fillv else { continue };
+                let bc = layout.col_idx[e] as usize;
+                for i in 0..b {
+                    let first_masked = (br * b + i + 1).saturating_sub(bc * b).min(b);
+                    blk[i * b + first_masked..(i + 1) * b].fill(fv);
                 }
             }
         }
@@ -126,65 +145,24 @@ pub fn sdd_nt(
 /// DSD: `out[s×dh] = P · V` where P is block-sparse data over `layout`.
 pub fn dsd(p: &[f32], v: &[f32], s: usize, dh: usize, layout: &BlockCsr, out: &mut [f32]) {
     check_dims(layout, s);
-    let b = layout.block_size;
     assert_eq!(p.len(), layout.data_len(), "DSD: P sized to layout");
     assert_eq!(v.len(), s * dh, "DSD: V is s×dh");
     assert_eq!(out.len(), s * dh, "DSD: out is s×dh");
-    let be = lx_kernels::backend();
-    let bb = b * b;
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    // One task per run of block-rows; each owns `b` contiguous output rows.
-    par_rows(out, layout.n_brows, b * dh, grain, |brs, chunk| {
-        for br in brs.clone() {
-            let local = (br - brs.start) * b * dh;
-            let out_rows = &mut chunk[local..local + b * dh];
-            out_rows.fill(0.0);
-            for e in layout.row_entries(br) {
-                let bc = layout.col_idx[e] as usize;
-                let p_blk = &p[e * bb..(e + 1) * bb];
-                let v_rows = &v[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm(
-                    &Gemm::nn(b, b, dh, p_blk, b, v_rows, dh).beta(1.0),
-                    out_rows,
-                    dh,
-                );
-            }
-        }
-    });
+    let b = layout.block_size;
+    let g = Gemm::nn(s, s, dh, p, b, v, dh).blocks(layout.view());
+    lx_kernels::backend().gemm(&g, out, dh);
 }
 
 /// Transposed DSD: `out[s×dh] = Pᵀ · X` via the CSC view
 /// (`dV = Pᵀ·dO`, `dK = dSᵀ·Q`).
 pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out: &mut [f32]) {
     check_dims(layout, s);
-    let b = layout.block_size;
     assert_eq!(p.len(), layout.data_len(), "DSD-T: P sized to layout");
     assert_eq!(x.len(), s * dh, "DSD-T: X is s×dh");
     assert_eq!(out.len(), s * dh, "DSD-T: out is s×dh");
-    let be = lx_kernels::backend();
-    let bb = b * b;
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    // One task per run of block-columns; each owns `b` output rows.
-    par_rows(out, layout.n_bcols, b * dh, grain, |bcs, chunk| {
-        for bc in bcs.clone() {
-            let local = (bc - bcs.start) * b * dh;
-            let out_rows = &mut chunk[local..local + b * dh];
-            out_rows.fill(0.0);
-            for e2 in layout.col_entries(bc) {
-                let br = layout.row_idx[e2] as usize;
-                let e = layout.csc_to_csr[e2] as usize;
-                // The stored block is P[br, bc]; as the A operand of a `tn`
-                // GEMM it is read transposed, exactly what `Pᵀ` needs.
-                let p_blk = &p[e * bb..(e + 1) * bb];
-                let x_rows = &x[br * b * dh..(br + 1) * b * dh];
-                be.gemm(
-                    &Gemm::tn(b, b, dh, p_blk, b, x_rows, dh).beta(1.0),
-                    out_rows,
-                    dh,
-                );
-            }
-        }
-    });
+    let b = layout.block_size;
+    let g = Gemm::tn(s, s, dh, p, b, x, dh).blocks(layout.view());
+    lx_kernels::backend().gemm(&g, out, dh);
 }
 
 /// Row-wise softmax over block-sparse score data. `-∞` entries become 0;
@@ -192,41 +170,40 @@ pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out:
 pub fn block_row_softmax(data: &mut [f32], layout: &BlockCsr) {
     let b = layout.block_size;
     assert_eq!(data.len(), layout.data_len());
-    let spans = row_data_spans(layout);
-    par_disjoint(data, &spans, 1, |brs, chunk| {
-        let base = spans[brs.start].start;
+    let bb = b * b;
+    for_block_rows(data, layout, |brs, chunk, base| {
         for br in brs {
             let entries = layout.row_entries(br);
             if entries.is_empty() {
                 continue;
             }
-            let span = &mut chunk[spans[br].start - base..spans[br].end - base];
+            let span = &mut chunk[entries.start * bb - base..entries.end * bb - base];
             let n_entries = entries.len();
             for i in 0..b {
                 // Pass 1: max.
                 let mut max = f32::NEG_INFINITY;
                 for e in 0..n_entries {
-                    for &v in &span[e * b * b + i * b..e * b * b + (i + 1) * b] {
+                    for &v in &span[e * bb + i * b..e * bb + (i + 1) * b] {
                         max = max.max(v);
                     }
                 }
                 if max == f32::NEG_INFINITY {
                     for e in 0..n_entries {
-                        span[e * b * b + i * b..e * b * b + (i + 1) * b].fill(0.0);
+                        span[e * bb + i * b..e * bb + (i + 1) * b].fill(0.0);
                     }
                     continue;
                 }
                 // Pass 2: exp + sum.
                 let mut sum = 0.0f32;
                 for e in 0..n_entries {
-                    for v in span[e * b * b + i * b..e * b * b + (i + 1) * b].iter_mut() {
+                    for v in span[e * bb + i * b..e * bb + (i + 1) * b].iter_mut() {
                         *v = (*v - max).exp();
                         sum += *v;
                     }
                 }
                 let inv = 1.0 / sum;
                 for e in 0..n_entries {
-                    for v in span[e * b * b + i * b..e * b * b + (i + 1) * b].iter_mut() {
+                    for v in span[e * bb + i * b..e * bb + (i + 1) * b].iter_mut() {
                         *v *= inv;
                     }
                 }
@@ -235,30 +212,29 @@ pub fn block_row_softmax(data: &mut [f32], layout: &BlockCsr) {
     });
 }
 
-/// Backward of [`block_row_softmax`]: `dx = y ⊙ (dy − ⟨y, dy⟩_row)`.
-pub fn block_row_softmax_backward(y: &[f32], dy: &[f32], layout: &BlockCsr, dx: &mut [f32]) {
+/// Backward of [`block_row_softmax`], in place: `dy` becomes
+/// `dx = y ⊙ (dy − ⟨y, dy⟩_row)`.
+pub fn block_row_softmax_backward(y: &[f32], dy: &mut [f32], layout: &BlockCsr) {
     let b = layout.block_size;
     assert_eq!(y.len(), layout.data_len());
     assert_eq!(dy.len(), layout.data_len());
-    assert_eq!(dx.len(), layout.data_len());
-    let spans = row_data_spans(layout);
-    par_disjoint(dx, &spans, 1, |brs, chunk| {
-        let base = spans[brs.start].start;
+    let bb = b * b;
+    for_block_rows(dy, layout, |brs, chunk, base| {
         for br in brs {
             let entries = layout.row_entries(br);
             for i in 0..b {
                 let mut dot = 0.0f32;
                 for e in entries.clone() {
-                    let off = e * b * b + i * b;
+                    let off = e * bb + i * b;
                     for t in 0..b {
-                        dot += y[off + t] * dy[off + t];
+                        dot += y[off + t] * chunk[off - base + t];
                     }
                 }
                 for e in entries.clone() {
-                    let off = e * b * b + i * b;
-                    let dx_row = &mut chunk[off - base..off - base + b];
-                    for t in 0..b {
-                        dx_row[t] = y[off + t] * (dy[off + t] - dot);
+                    let off = e * bb + i * b;
+                    let d_row = &mut chunk[off - base..off - base + b];
+                    for (t, d) in d_row.iter_mut().enumerate() {
+                        *d = y[off + t] * (*d - dot);
                     }
                 }
             }
@@ -420,8 +396,8 @@ mod tests {
         let mut y = scores.clone();
         block_row_softmax(&mut y, &lay);
         let dy = randn_vec(lay.data_len(), 1.0, 8);
-        let mut dx = vec![0.0; lay.data_len()];
-        block_row_softmax_backward(&y, &dy, &lay, &mut dx);
+        let mut dx = dy.clone();
+        block_row_softmax_backward(&y, &mut dx, &lay);
 
         // Dense reference row by row.
         let dense_y = block_data_to_dense(&y, &lay);

@@ -96,6 +96,19 @@ impl BlockCsr {
         self.nnz_blocks() as f32 / (self.n_brows * self.n_bcols) as f32
     }
 
+    /// The borrowed block-list view the `lx-kernels` backends walk
+    /// ([`Gemm::blocks`](lx_kernels::Gemm::blocks)).
+    pub fn view(&self) -> lx_kernels::BlockList<'_> {
+        lx_kernels::BlockList {
+            block: self.block_size,
+            row_ptr: &self.row_ptr,
+            col_idx: &self.col_idx,
+            col_ptr: &self.col_ptr,
+            row_idx: &self.row_idx,
+            csc_to_csr: &self.csc_to_csr,
+        }
+    }
+
     /// Entries (CSR order) of one block-row.
     pub fn row_entries(&self, br: usize) -> std::ops::Range<usize> {
         self.row_ptr[br] as usize..self.row_ptr[br + 1] as usize

@@ -8,11 +8,15 @@
 //! deterministic sweeps reproduce exactly in CI.
 
 use lx_kernels::{BOperand, Epilogue, Gemm, KernelBackend, MR, NR, PACKED, REFERENCE};
+use lx_model::mha::MultiHeadAttention;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
 use lx_sparse::patterns::PatternSpec;
-use lx_sparse::BlockCsr;
+use lx_sparse::{BlockCsr, BlockMask, MultiHeadLayout};
 use lx_tensor::rng::randn_vec;
+use lx_tensor::Tensor;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 const TOL: f32 = 1e-4;
 
@@ -723,8 +727,386 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
     }
 }
 
-/// Force the packed backend under the block-sparse attention ops by running
-/// the per-block shapes they issue through both backends directly.
+/// Regression: a Reference GEMM issued inside a pool task must run on the
+/// task's thread. Forking there opens a nested scope whose waiting thread
+/// help-drains sibling tasks re-entrantly — here a sibling that re-borrows
+/// the thread-local the task holds across its GEMM, as a kernel holding its
+/// scratch would. Covers the `nn`, `nt`, `tn` and decode-on-load loops.
+#[test]
+fn reference_gemm_inside_a_pool_task_does_not_fork() {
+    thread_local! {
+        static HELD: RefCell<()> = const { RefCell::new(()) };
+    }
+    // 64 rows at this k·n split into four row chunks whenever the loops fork.
+    let (m, k, n) = (64usize, 64usize, 64usize);
+    let a = randn_vec(m * k, 1.0, 600_000);
+    let b = randn_vec(k * n, 1.0, 600_001);
+    let bits: Vec<u16> = b
+        .iter()
+        .map(|&v| lx_kernels::half::f32_to_f16_bits(v))
+        .collect();
+    let gemms = [
+        Gemm::nn(m, k, n, &a, k, &b[..], n),
+        Gemm::nt(m, k, n, &a, k, &b[..], k),
+        Gemm::tn(m, k, n, &a, m, &b, n),
+        Gemm::nn(m, k, n, &a, k, &bits[..], n),
+    ];
+    let mut want = vec![vec![0.0f32; m * n]; gemms.len()];
+    lx_kernels::with_sequential(|| {
+        for (g, c) in gemms.iter().zip(&mut want) {
+            REFERENCE.gemm(g, c, n);
+        }
+    });
+    let tasks = 32;
+    let mut got = vec![vec![vec![0.0f32; m * n]; gemms.len()]; tasks];
+    let gemms = &gemms;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = got
+        .iter_mut()
+        .map(|outs| {
+            Box::new(move || {
+                HELD.with(|held| {
+                    let _scratch = held.borrow_mut();
+                    for (g, c) in gemms.iter().zip(outs.iter_mut()) {
+                        REFERENCE.gemm(g, c, n);
+                    }
+                })
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    lx_parallel::pool().run_scoped(jobs);
+    for (t, outs) in got.iter().enumerate() {
+        for (i, (c, w)) in outs.iter().zip(&want).enumerate() {
+            assert_bits(&format!("task {t} gemm {i}"), c, w);
+        }
+    }
+}
+
+/// The block-list grid: every named pattern plus hand-built masks with empty
+/// block-rows, empty block-columns and single-block rows, on an odd grid.
+fn block_list_layouts(b: usize) -> Vec<(String, BlockCsr)> {
+    const N: usize = 5;
+    let mut masks: Vec<(String, BlockMask)> = [
+        PatternSpec::Causal,
+        PatternSpec::LocalWindow { w: 2 },
+        PatternSpec::LocalGlobal { w: 1, g: 1 },
+        PatternSpec::Strided { w: 1, stride: 2 },
+    ]
+    .iter()
+    .map(|spec| (format!("{spec:?}"), spec.mask(N)))
+    .collect();
+    let custom = |name: &str, cells: &[(usize, usize)]| {
+        let mut m = BlockMask::square(N);
+        for &(r, c) in cells {
+            m.set(r, c, true);
+        }
+        (name.to_string(), m)
+    };
+    masks.push(custom(
+        "empty rows",
+        &[(0, 0), (2, 0), (2, 1), (2, 2), (4, 3)],
+    ));
+    masks.push(custom(
+        "empty cols",
+        &[(1, 0), (1, 1), (3, 1), (4, 3), (4, 4)],
+    ));
+    masks.push(custom(
+        "single-block rows",
+        &[(0, 0), (1, 0), (2, 2), (3, 1), (4, 4)],
+    ));
+    masks.push(custom("empty", &[]));
+    masks
+        .into_iter()
+        .map(|(name, m)| (name, BlockCsr::from_mask(&m, b)))
+        .collect()
+}
+
+/// The three block-list products of `lay`, run on `be`: SDD scores
+/// (`nnz·b²`), DSD context and DSD-tn gradient (`s×dh` each). DSD and
+/// DSD-tn accumulate into a random C with `beta = 0.5`.
+fn block_list_products(
+    be: &dyn KernelBackend,
+    lay: &BlockCsr,
+    dh: usize,
+    seed: u64,
+) -> [Vec<f32>; 3] {
+    let s = lay.n_brows * lay.block_size;
+    let (q, k) = (
+        randn_vec(s * dh, 1.0, seed),
+        randn_vec(s * dh, 1.0, seed + 1),
+    );
+    let p = randn_vec(lay.data_len(), 1.0, seed + 2);
+    let x = randn_vec(s * dh, 1.0, seed + 3);
+    let b = lay.block_size;
+    let mut scores = vec![f32::NAN; lay.data_len()];
+    be.gemm(
+        &Gemm::nt(s, dh, s, &q, dh, &k[..], dh).blocks(lay.view()),
+        &mut scores,
+        b,
+    );
+    let mut ctx = randn_vec(s * dh, 1.0, seed + 4);
+    be.gemm(
+        &Gemm::nn(s, s, dh, &p, b, &x[..], dh)
+            .beta(0.5)
+            .blocks(lay.view()),
+        &mut ctx,
+        dh,
+    );
+    let mut grad = randn_vec(s * dh, 1.0, seed + 4);
+    be.gemm(
+        &Gemm::tn(s, s, dh, &p, b, &x, dh)
+            .beta(0.5)
+            .blocks(lay.view()),
+        &mut grad,
+        dh,
+    );
+    [scores, ctx, grad]
+}
+
+/// Block-list products on the packed backend match the reference decode on
+/// every block size, head width and pattern of the grid.
+#[test]
+fn block_list_packed_matches_reference_on_pattern_grid() {
+    let mut seed = 700_000u64;
+    for b in [4usize, 8, 16, 32] {
+        for dh in [8usize, 16, 32, 64] {
+            for (name, lay) in block_list_layouts(b) {
+                seed += 10;
+                let want = block_list_products(&REFERENCE, &lay, dh, seed);
+                let got = block_list_products(&PACKED, &lay, dh, seed);
+                for (what, (g, w)) in ["sdd", "dsd", "dsd_tn"].iter().zip(got.iter().zip(&want)) {
+                    assert_close(&format!("{what} b={b} dh={dh} {name}"), g, w);
+                }
+            }
+        }
+    }
+}
+
+/// Each line of a block-list product is exactly the dense product of its
+/// explicitly gathered operands on the same backend: the packed (and
+/// reference) block-list paths feed every output element the same k-sequence
+/// as the dense kernels do, so the match is bitwise.
+#[test]
+fn block_list_matches_gathered_dense_operands_bitwise() {
+    let mut seed = 800_000u64;
+    for be in [&PACKED as &dyn KernelBackend, &REFERENCE] {
+        for b in [4usize, 8, 16, 32] {
+            for dh in [8usize, 16, 32, 64] {
+                for (name, lay) in block_list_layouts(b) {
+                    seed += 10;
+                    check_gathered(
+                        be,
+                        &lay,
+                        dh,
+                        seed,
+                        &format!("{} b={b} dh={dh} {name}", be.name()),
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn check_gathered(be: &dyn KernelBackend, lay: &BlockCsr, dh: usize, seed: u64, what: &str) {
+    let (b, n) = (lay.block_size, lay.n_brows);
+    let (s, bb) = (n * b, b * b);
+    let (q, k) = (
+        randn_vec(s * dh, 1.0, seed),
+        randn_vec(s * dh, 1.0, seed + 1),
+    );
+    let p = randn_vec(lay.data_len(), 1.0, seed + 2);
+    let x = randn_vec(s * dh, 1.0, seed + 3);
+    let rows = |m: &[f32], blocks: &mut dyn Iterator<Item = usize>| -> Vec<f32> {
+        blocks
+            .flat_map(|blk| m[blk * b * dh..(blk + 1) * b * dh].to_vec())
+            .collect()
+    };
+    let mut scores = vec![0.0f32; lay.data_len()];
+    be.gemm(
+        &Gemm::nt(s, dh, s, &q, dh, &k[..], dh).blocks(lay.view()),
+        &mut scores,
+        b,
+    );
+    let mut ctx = vec![0.0f32; s * dh];
+    be.gemm(
+        &Gemm::nn(s, s, dh, &p, b, &x[..], dh).blocks(lay.view()),
+        &mut ctx,
+        dh,
+    );
+    let mut grad = vec![0.0f32; s * dh];
+    be.gemm(
+        &Gemm::tn(s, s, dh, &p, b, &x, dh).blocks(lay.view()),
+        &mut grad,
+        dh,
+    );
+    for line in 0..n {
+        // SDD: block-row `line`'s rows of Q against K's active block rows.
+        let entries = lay.row_entries(line);
+        let width = entries.len() * b;
+        let kg = rows(&k, &mut entries.clone().map(|e| lay.col_idx[e] as usize));
+        let mut c = vec![0.0f32; b * width];
+        if width > 0 {
+            let a = &q[line * b * dh..(line + 1) * b * dh];
+            be.gemm(&Gemm::nt(b, dh, width, a, dh, &kg[..], dh), &mut c, width);
+        }
+        for (j, e) in entries.clone().enumerate() {
+            for i in 0..b {
+                assert_bits(
+                    &format!("{what}: sdd row {line} entry {e}"),
+                    &scores[e * bb + i * b..e * bb + (i + 1) * b],
+                    &c[i * width + j * b..i * width + (j + 1) * b],
+                );
+            }
+        }
+        // DSD: [P blocks of the row] · [V rows under them].
+        let mut pg = vec![0.0f32; b * width];
+        for (j, e) in entries.clone().enumerate() {
+            for i in 0..b {
+                pg[i * width + j * b..i * width + (j + 1) * b]
+                    .copy_from_slice(&p[e * bb + i * b..e * bb + (i + 1) * b]);
+            }
+        }
+        let mut want = vec![0.0f32; b * dh];
+        be.gemm(
+            &Gemm::nn(
+                b,
+                width,
+                dh,
+                &pg,
+                width.max(1),
+                &rows(&x, &mut entries.clone().map(|e| lay.col_idx[e] as usize))[..],
+                dh,
+            ),
+            &mut want,
+            dh,
+        );
+        assert_bits(
+            &format!("{what}: dsd row {line}"),
+            &ctx[line * b * dh..(line + 1) * b * dh],
+            &want,
+        );
+        // DSD-tn: [P blocks of the column, stacked]ᵀ · [X rows beside them].
+        let col = lay.col_entries(line);
+        let depth = col.len() * b;
+        let pt: Vec<f32> = col
+            .clone()
+            .flat_map(|e2| p[lay.csc_to_csr[e2] as usize * bb..][..bb].to_vec())
+            .collect();
+        let xg = rows(&x, &mut col.map(|e2| lay.row_idx[e2] as usize));
+        let mut want = vec![0.0f32; b * dh];
+        be.gemm(&Gemm::tn(b, depth, dh, &pt, b, &xg, dh), &mut want, dh);
+        assert_bits(
+            &format!("{what}: dsd_tn col {line}"),
+            &grad[line * b * dh..(line + 1) * b * dh],
+            &want,
+        );
+    }
+}
+
+/// The sparse attention kernels (whatever backend the dispatcher routes them
+/// to) against a dense oracle on the grid, with each causal fill.
+#[test]
+fn sparse_attention_kernels_match_dense_oracle_with_every_fill() {
+    let mut seed = 900_000u64;
+    for b in [4usize, 8, 16, 32] {
+        for dh in [8usize, 16, 32, 64] {
+            for (name, lay) in block_list_layouts(b) {
+                seed += 10;
+                let s = lay.n_brows * b;
+                let (q, k) = (
+                    randn_vec(s * dh, 1.0, seed),
+                    randn_vec(s * dh, 1.0, seed + 1),
+                );
+                for fill in [CausalFill::NegInf, CausalFill::Zero, CausalFill::None] {
+                    let mut blocks = vec![f32::NAN; lay.data_len()];
+                    sdd_nt(&q, &k, s, dh, 0.5, &lay, fill, &mut blocks);
+                    let mut dense = vec![0.0f32; s * s];
+                    for br in 0..lay.n_brows {
+                        for e in lay.row_entries(br) {
+                            let bc = lay.col_idx[e] as usize;
+                            for i in 0..b {
+                                for j in 0..b {
+                                    let (gi, gj) = (br * b + i, bc * b + j);
+                                    let dot: f32 = q[gi * dh..(gi + 1) * dh]
+                                        .iter()
+                                        .zip(&k[gj * dh..(gj + 1) * dh])
+                                        .map(|(x, y)| x * y)
+                                        .sum();
+                                    dense[gi * s + gj] = match fill {
+                                        CausalFill::NegInf if gj > gi => f32::NEG_INFINITY,
+                                        CausalFill::Zero if gj > gi => 0.0,
+                                        _ => 0.5 * dot,
+                                    };
+                                }
+                            }
+                        }
+                    }
+                    let got = block_data_to_dense(&blocks, &lay);
+                    for (idx, (g, w)) in got.iter().zip(&dense).enumerate() {
+                        let ok = if w.is_infinite() {
+                            g == w
+                        } else {
+                            (g - w).abs() <= TOL * (1.0 + w.abs())
+                        };
+                        assert!(
+                            ok,
+                            "sdd {fill:?} b={b} dh={dh} {name}: idx {idx}: {g} vs {w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sparse multi-head attention is bit-identical whether its (batch, head)
+/// tasks run on the pool or every kernel stays on the calling thread —
+/// forward output, input gradient and every weight gradient. Two shapes: many
+/// heads (the per-head pool dispatch) and one head (a single inline task
+/// whose block-list products split their lines across the pool).
+#[test]
+fn sparse_attention_is_bit_identical_across_pool_and_sequential() {
+    for (batch, heads, seq, blk) in [(2usize, 4usize, 128usize, 16usize), (1, 1, 256, 16)] {
+        let d = heads * 32;
+        let per_head = [
+            PatternSpec::Causal,
+            PatternSpec::LocalWindow { w: 2 },
+            PatternSpec::LocalGlobal { w: 1, g: 1 },
+            PatternSpec::Strided { w: 1, stride: 2 },
+        ]
+        .iter()
+        .cycle()
+        .take(heads)
+        .map(|spec| Arc::new(BlockCsr::from_mask(&spec.mask(seq / blk), blk)))
+        .collect();
+        let layout = Arc::new(MultiHeadLayout::combine(per_head));
+        let x = Tensor::randn(&[batch * seq, d], 1.0, 1_000_001);
+        let dy = Tensor::randn(&[batch * seq, d], 1.0, 1_000_002);
+        let run = || {
+            let mut attn = MultiHeadAttention::new("attn", d, heads, 77);
+            attn.enable_alibi();
+            attn.for_each_param(&mut |p| p.trainable = true);
+            let y = attn.forward(&x, batch, seq, Some(&layout));
+            let dx = attn.backward(&dy);
+            let mut out = vec![("y".to_string(), y.as_slice().to_vec())];
+            out.push(("dx".to_string(), dx.as_slice().to_vec()));
+            attn.for_each_param(&mut |p| {
+                let g = p.grad.as_ref().expect("trainable param has a grad");
+                out.push((p.name.clone(), g.as_slice().to_vec()));
+            });
+            out
+        };
+        let pooled = run();
+        let sequential = lx_kernels::with_sequential(run);
+        assert_eq!(pooled.len(), sequential.len());
+        for ((name, a), (_, b)) in pooled.iter().zip(&sequential) {
+            assert_bits(&format!("batch {batch} heads {heads}: {name}"), a, b);
+        }
+    }
+}
+
+/// Single attention-block shapes (one score block, one context block, one
+/// transposed block) through both backends directly: the dense products a
+/// one-block list reduces to.
 #[test]
 fn attention_block_shapes_match() {
     for (b, dh) in [(4usize, 8usize), (16, 32), (32, 64), (32, 80)] {
