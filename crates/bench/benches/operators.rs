@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks backing the operator-level figures:
 //! dense GEMM baselines, SDD/DSD block kernels at several sparsity levels
-//! (Fig. 12a), neuron-wise MLP kernels (Fig. 12b), the two-stage pattern
+//! (Fig. 12a), the neuron-sparse MLP as slab gather + GEMMs (Fig. 12b), the
+//! two-stage pattern
 //! pool's online combination vs from-scratch layout builds (the §VI-A
 //! ablation), and predictor overhead (§V-C).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
-use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet, PatternPool, PatternSpec};
-use lx_tensor::gemm::{gemm, gemm_nt};
+use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_nt};
 use lx_tensor::rng::randn_vec;
+use lx_tensor::Tensor;
 use std::hint::black_box;
 
 const S: usize = 256;
@@ -82,9 +83,9 @@ fn bench_attention_ops(c: &mut Criterion) {
 
 fn bench_neuron_ops(c: &mut Criterion) {
     let (rows, d, d_ff) = (256usize, 256usize, 1024usize);
-    let x = randn_vec(rows * d, 1.0, 6);
-    let w1t = randn_vec(d_ff * d, 0.05, 7);
-    let w2 = randn_vec(d_ff * d, 0.05, 8);
+    let x = Tensor::randn(&[rows, d], 1.0, 6);
+    let w1 = Tensor::randn(&[d_ff, d], 0.05, 7);
+    let w2 = Tensor::randn(&[d_ff, d], 0.05, 8);
     let n_blk = d_ff / BLOCK;
     let mut group = c.benchmark_group("neuron_mlp");
     for keep_frac in [1.0f64, 0.5, 0.25] {
@@ -95,12 +96,10 @@ fn bench_neuron_ops(c: &mut Criterion) {
             &set,
             |bch, set| {
                 bch.iter(|| {
-                    let width = set.active_neurons();
-                    let mut z = vec![0.0f32; rows * width];
-                    fc1_forward(&x, rows, &w1t, d, None, set, &mut z);
-                    lx_tensor::ops::relu_inplace(&mut z);
-                    let mut y = vec![0.0f32; rows * d];
-                    fc2_forward(&z, rows, &w2, d, None, set, &mut y);
+                    // Slab gather + dense GEMMs, as the model's MLP runs.
+                    let mut z = matmul_nt(&x, &set.gather_rows(&w1));
+                    lx_tensor::ops::relu_inplace(z.as_mut_slice());
+                    let y = matmul(&z, &set.gather_rows(&w2));
                     black_box(y)
                 })
             },

@@ -1,5 +1,6 @@
 //! **Figure 12**: dynamic operator performance vs dense across sparsity
-//! ratios — block-wise attention kernels and neuron-wise MLP kernels.
+//! ratios — block-wise attention kernels and the neuron-sparse MLP (active
+//! slab gather + dense GEMMs on the compact operands).
 //!
 //! Paper: up to 3–5× speedups at high sparsity; execution time nearly linear
 //! in the sparsity ratio (that linearity is what makes the operators
@@ -7,11 +8,11 @@
 
 use lx_bench::{header, row};
 use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
-use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet};
-use lx_tensor::gemm::{gemm, gemm_nt};
-use lx_tensor::ops::softmax_rows;
+use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_nt};
+use lx_tensor::ops::{relu_inplace, softmax_rows};
 use lx_tensor::rng::randn_vec;
+use lx_tensor::Tensor;
 use std::time::Instant;
 
 fn time_it(mut f: impl FnMut()) -> f64 {
@@ -83,23 +84,22 @@ fn main() {
         attn_rows.push((sparsity, layout.nnz_blocks() as f64, t, dense_t));
     }
 
-    println!("\n== Fig. 12b: neuron-wise MLP kernels vs dense (rows 512, d 256, d_ff 1024, block 32) ==\n");
+    println!(
+        "\n== Fig. 12b: neuron-sparse MLP (slab gather + GEMMs) vs dense \
+         (rows 512, d 256, d_ff 1024, block 32) ==\n"
+    );
     let (rows_n, d, d_ff) = (512usize, 256usize, 1024usize);
-    let x = randn_vec(rows_n * d, 1.0, 4);
-    let w1t = randn_vec(d_ff * d, 0.05, 5);
-    let w2 = randn_vec(d_ff * d, 0.05, 6);
+    let x = Tensor::randn(&[rows_n, d], 1.0, 4);
+    let w1 = Tensor::randn(&[d_ff, d], 0.05, 5);
+    let w2 = Tensor::randn(&[d_ff, d], 0.05, 6);
     let n_blk = d_ff / block;
+    // The model's MLP forward under a plan: gather the active FC1/FC2 slabs
+    // (timed — a drifted plan pays it; the dense set borrows), then the
+    // dense GEMMs on the compact operands.
     let run = |set: &NeuronBlockSet| {
-        let width = set.active_neurons();
-        let mut z = vec![0.0f32; rows_n * width];
-        fc1_forward(&x, rows_n, &w1t, d, None, set, &mut z);
-        for zv in z.iter_mut() {
-            if *zv < 0.0 {
-                *zv = 0.0;
-            }
-        }
-        let mut y = vec![0.0f32; rows_n * d];
-        fc2_forward(&z, rows_n, &w2, d, None, set, &mut y);
+        let mut z = matmul_nt(&x, &set.gather_rows(&w1));
+        relu_inplace(z.as_mut_slice());
+        matmul(&z, &set.gather_rows(&w2));
     };
     let dense_set = NeuronBlockSet::all(n_blk, block);
     let mlp_dense_t = time_it(|| run(&dense_set));

@@ -4,7 +4,8 @@
 //! Left (ratios): 'Shadowy' (uniform union mask / raw activation union) vs
 //! Longformer vs BigBird vs Long Exposure head-specific masks; MLP threshold
 //! sweep. Right (performance): per-layer execution time — dense vs the
-//! unstructured shadowy arm vs Long Exposure block/neuron kernels.
+//! unstructured shadowy arm vs Long Exposure block kernels (attention) and
+//! active-slab gather + GEMMs (MLP).
 //!
 //! Paper: LX ≈1.78× over dense and ≈1.33× over shadowy in attention;
 //! ≈4.22× over dense in MLP — with shadowy *slower* than dense.
@@ -17,12 +18,12 @@ use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
 use lx_model::{CaptureConfig, ModelConfig};
 use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
-use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::scattered::{spmm, ElemCsr};
 use lx_sparse::{BlockCsr, NeuronBlockSet, PatternPool};
-use lx_tensor::gemm::{gemm, gemm_nt};
-use lx_tensor::ops::{apply_causal_mask, softmax_rows};
+use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_nt};
+use lx_tensor::ops::{apply_causal_mask, relu_inplace, softmax_rows};
 use lx_tensor::rng::randn_vec;
+use lx_tensor::Tensor;
 use std::time::Instant;
 
 fn time_it(f: impl FnMut()) -> f64 {
@@ -161,49 +162,35 @@ fn main() {
             }
         });
 
-        // MLP arms.
-        let x = randn_vec(rows_n * cfg.d_model, 1.0, 90 + l as u64);
-        let w1t = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 91 + l as u64);
-        let w2 = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 92 + l as u64);
+        // MLP arms. Both weights neuron-major `[d_ff, d]`, as the model
+        // stores them.
+        let x = Tensor::randn(&[rows_n, cfg.d_model], 1.0, 90 + l as u64);
+        let w1 = Tensor::randn(&[cfg.d_ff, cfg.d_model], 0.05, 91 + l as u64);
+        let w2 = Tensor::randn(&[cfg.d_ff, cfg.d_model], 0.05, 92 + l as u64);
         let acts = cap.mlp_activations.as_ref().unwrap();
         let set = exposer.mlp_filter(&exposer.mlp_block_importance(acts));
         let dense_set = NeuronBlockSet::all(cfg.d_ff / block, block);
+        // The model's MLP forward under a plan: gather the active slabs
+        // (a borrow for the dense set), then the dense GEMMs on them.
+        let mlp = |set: &NeuronBlockSet| {
+            let mut z = matmul_nt(&x, &set.gather_rows(&w1));
+            relu_inplace(z.as_mut_slice());
+            matmul(&z, &set.gather_rows(&w2))
+        };
         let t_mlp_dense = time_it(|| {
-            let mut z = vec![0.0f32; rows_n * cfg.d_ff];
-            fc1_forward(&x, rows_n, &w1t, cfg.d_model, None, &dense_set, &mut z);
-            for zv in z.iter_mut() {
-                if *zv < 0.0 {
-                    *zv = 0.0;
-                }
-            }
-            let mut y = vec![0.0f32; rows_n * cfg.d_model];
-            fc2_forward(&z, rows_n, &w2, cfg.d_model, None, &dense_set, &mut y);
+            mlp(&dense_set);
         });
         let t_mlp_shadowy = time_it(|| {
             // Dense FC1, then element-CSR built *at runtime* for FC2 —
             // the unstructured arm pays the conversion inside the loop.
-            let mut z = vec![0.0f32; rows_n * cfg.d_ff];
-            fc1_forward(&x, rows_n, &w1t, cfg.d_model, None, &dense_set, &mut z);
-            for zv in z.iter_mut() {
-                if *zv < 0.0 {
-                    *zv = 0.0;
-                }
-            }
-            let csr = ElemCsr::from_dense(&z, rows_n, cfg.d_ff, 0.0);
+            let mut z = matmul_nt(&x, &w1);
+            relu_inplace(z.as_mut_slice());
+            let csr = ElemCsr::from_dense(z.as_slice(), rows_n, cfg.d_ff, 0.0);
             let mut y = vec![0.0f32; rows_n * cfg.d_model];
-            spmm(&csr, &w2, cfg.d_model, None, &mut y);
+            spmm(&csr, w2.as_slice(), cfg.d_model, None, &mut y);
         });
         let t_mlp_lx = time_it(|| {
-            let width = set.active_neurons();
-            let mut z = vec![0.0f32; rows_n * width];
-            fc1_forward(&x, rows_n, &w1t, cfg.d_model, None, &set, &mut z);
-            for zv in z.iter_mut() {
-                if *zv < 0.0 {
-                    *zv = 0.0;
-                }
-            }
-            let mut y = vec![0.0f32; rows_n * cfg.d_model];
-            fc2_forward(&z, rows_n, &w2, cfg.d_model, None, &set, &mut y);
+            mlp(&set);
         });
         row(&[
             l.to_string(),

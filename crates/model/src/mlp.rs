@@ -1,4 +1,5 @@
-//! MLP block with dense and neuron-block-sparse paths.
+//! MLP block: one forward and one backward for dense and neuron-sparse
+//! steps.
 //!
 //! Weight storage follows the paper's memory-coalescing layout (§VI-B):
 //! FC1 is kept *neuron-major* (`w1[d_ff, d]`, i.e. column-major relative to
@@ -6,25 +7,35 @@
 //! an active neuron block is a contiguous slab in **both** matrices and no
 //! format conversion ever happens at runtime.
 //!
-//! LoRA can attach to both linears. In the sparse path, only the active-block
-//! rows of the LoRA `B` matrices participate — demonstrating the paper's
-//! §II-D result that forward-inactive parameters receive no gradient.
+//! A neuron-sparse step is the dense step on smaller operands. The plan
+//! picks only two things:
+//!
+//! * **the FC operands** — the stored [`Param`]s for a dense plan (any
+//!   storage, fused-decoded inside the GEMM), or the compact f32 gather of
+//!   the active slabs for a sparse one — kept across steps on reduced
+//!   storage, see [`MlpBlock::slab_cache_stats`];
+//! * **the per-neuron trainable rows** — b1, LoRA-1 `B`, LoRA-2 `A` and the
+//!   full-FT W1/W2 gradients are used whole under a dense plan, and gathered
+//!   ([`NeuronBlockSet::gather_rows`]) or scatter-added
+//!   ([`NeuronBlockSet::scatter_add_rows`]) under a sparse one.
+//!
+//! Everything else — the GEMM calls, the LoRA algebra, the activation —
+//! is shared, so a sparse step issues exactly the dense step's GEMMs, and a
+//! plan with every block active computes the dense step's bits. Inactive
+//! neurons' LoRA `B` rows receive no gradient, the paper's §II-D result.
 
 use crate::config::Activation;
 use crate::param::Param;
 use lx_obs::{registry, Counter};
-use lx_sparse::neuron::{
-    fc1_backward_input, fc1_forward, fc1_grad_weights, fc2_backward_input, fc2_forward,
-    fc2_grad_weights,
-};
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{matmul, matmul_nt, matmul_tn, Epilogue};
+use lx_tensor::gemm::{matmul, matmul_nt, matmul_operand, matmul_tn, Epilogue, Operand};
 use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu_backward, relu_inplace};
 use lx_tensor::Tensor;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide mirrors of the per-layer slab-cache counters (see
-/// [`MlpLayer::slab_cache_stats`] for the per-layer source of truth).
+/// [`MlpBlock::slab_cache_stats`] for the per-layer source of truth).
 struct SlabCounters {
     decoded: Arc<Counter>,
     carried: Arc<Counter>,
@@ -38,6 +49,19 @@ fn slab_counters() -> &'static SlabCounters {
     })
 }
 
+/// The active rows of a per-neuron tensor: all of it under a dense plan.
+fn rows_of<'a>(plan: Option<&NeuronBlockSet>, t: &'a Tensor) -> Cow<'a, Tensor> {
+    plan.map_or(Cow::Borrowed(t), |set| set.gather_rows(t))
+}
+
+/// Accumulate a per-neuron gradient holding the plan's active rows.
+fn accumulate_rows(plan: Option<&NeuronBlockSet>, p: &mut Param, g: &Tensor) {
+    match plan {
+        None => p.accumulate_grad(g),
+        Some(set) => set.scatter_add_rows(g, p.grad_mut()),
+    }
+}
+
 /// LoRA pair for an MLP linear. Shape semantics depend on the attach site —
 /// see [`MlpBlock::attach_lora_fc1`] / [`MlpBlock::attach_lora_fc2`].
 #[derive(Debug)]
@@ -45,7 +69,6 @@ pub struct MlpLora {
     pub a: Param,
     pub b: Param,
     pub scale: f32,
-    cache_ax: Option<Tensor>,
 }
 
 #[derive(Debug)]
@@ -64,15 +87,15 @@ pub struct MlpBlock {
     d_model: usize,
     d_ff: usize,
     cache: Option<MlpCache>,
-    /// Cross-step cache of decoded active slabs (reduced-stored sparse
-    /// mode, f16 or block-quantized). Keyed by the plan it was gathered for;
-    /// refreshed incrementally — see [`MlpBlock::refresh_slab_cache`].
+    /// The active FC slabs of the last sparse forward, gathered to f32.
+    /// Keyed by the plan it was gathered for; refreshed incrementally on
+    /// reduced storage — see [`MlpBlock::refresh_slab_cache`].
     slab_cache: Option<SparseSlabs>,
-    /// The retired gather's buffers, recycled as the next drifted plan's
-    /// destination so steady-state drift stays allocation-free (the step
+    /// The retired gather's buffers, recycled as the next gather's
+    /// destination so steady-state steps stay allocation-free (the step
     /// bench gates on zero heap tensors per steady step). Contents are
-    /// garbage between drifts — every span is overwritten before use.
-    slab_spare: Option<(Tensor, Tensor, Tensor)>,
+    /// garbage between gathers — every span is overwritten before use.
+    slab_spare: Option<(Tensor, Tensor)>,
     slabs_decoded: u64,
     slabs_reused: u64,
 }
@@ -85,38 +108,37 @@ struct MlpCache {
     /// Post-activation, same width as `z`.
     a: Tensor,
     set: Option<Arc<NeuronBlockSet>>,
-    /// The step ran against reduced-stored weights via the slab cache.
-    used_slabs: bool,
     ax1: Option<Tensor>,
     ax2: Option<Tensor>,
 }
 
-/// f32 views of the *active* neuron slabs of reduced-stored FC weights (f16
-/// or block-quantized), in the compact coordinate system of
-/// [`NeuronBlockSet::compacted`]. This is the paper's "only active blocks
-/// resident at full width" discipline: inactive slabs never leave their
-/// reduced storage (2 bytes/element for f16, ~1 for int8, ~0.5 for NF4).
+/// f32 copies of the *active* neuron slabs of the FC weights, packed in plan
+/// order (`[active_neurons, d_model]` each) — the operands of a sparse step.
+/// This is the paper's "only active blocks resident at full width"
+/// discipline: inactive slabs never leave their storage (4 bytes/element
+/// for f32, 2 for f16, ~1 for int8, ~0.5 for NF4).
 ///
-/// Under shadowy sparsity consecutive plans overlap heavily, so the gather is
-/// maintained *incrementally* across steps: blocks active in both the old and
-/// new plan are carried over with an f32 copy, only newly-activated blocks
-/// are decoded from the stored bits, and deactivated blocks are evicted by
-/// not being carried. An unchanged plan reuses the whole gather untouched.
-/// The quantized decodes are elementwise over flat indices, so a slab window
-/// is bit-identical to the same rows of a full-buffer decode even when row
-/// boundaries land mid-quantization-block.
+/// Reduced storage is frozen between [`TransformerModel::set_precision`]
+/// calls (which invalidate the cache), so under shadowy sparsity its gather
+/// is maintained *incrementally* across steps: blocks active in both the
+/// old and new plan are carried over with an f32 copy, only newly-activated
+/// blocks are decoded from the stored bits, and deactivated blocks are
+/// evicted by not being carried. An unchanged plan reuses the whole gather
+/// untouched. The decodes are elementwise over flat indices, so a slab
+/// window is bit-identical to the same rows of a full-buffer decode even
+/// when row boundaries land mid-quantization-block. f32 weights can move
+/// with no storage change (optimizer steps, merges, in-place edits), so
+/// they are re-gathered on every sparse forward.
+///
+/// [`TransformerModel::set_precision`]: crate::TransformerModel::set_precision
 #[derive(Debug)]
 struct SparseSlabs {
-    /// The (global) plan this gather was built for.
+    /// The plan this gather was built for.
     set: Arc<NeuronBlockSet>,
-    /// Active FC1 column slabs, `[active_neurons, d_model]`.
+    /// Active FC1 slabs, `[active_neurons, d_model]`.
     w1: Tensor,
-    /// Active FC2 row slabs, `[active_neurons, d_model]`.
+    /// Active FC2 slabs, `[active_neurons, d_model]`.
     w2: Tensor,
-    /// FC1 bias entries gathered in active order.
-    b1: Tensor,
-    /// Renumbered block set addressing the gathered buffers.
-    cset: Arc<NeuronBlockSet>,
 }
 
 impl MlpBlock {
@@ -163,7 +185,6 @@ impl MlpBlock {
                 true,
             ),
             scale: alpha / rank as f32,
-            cache_ax: None,
         });
     }
 
@@ -180,7 +201,6 @@ impl MlpBlock {
                 true,
             ),
             scale: alpha / rank as f32,
-            cache_ax: None,
         });
     }
 
@@ -202,70 +222,52 @@ impl MlpBlock {
         dz
     }
 
-    pub fn forward(&mut self, x: &Tensor, set: Option<&Arc<NeuronBlockSet>>) -> Tensor {
-        match set {
-            None => self.forward_dense(x),
-            Some(set) => self.forward_sparse(x, set.clone()),
-        }
-    }
-
-    /// Bring the cross-step slab cache up to date with `set` (see
-    /// [`SparseSlabs`]). An unchanged plan reuses the weight gather as-is
-    /// (re-gathering only the bias when it is trainable and may have moved);
-    /// a drifted plan copies carried-over slabs from the previous gather and
-    /// decodes only the newly-activated blocks ([`NeuronBlockSet::diff`])
-    /// from the stored f16/int8/NF4 bits.
+    /// Bring the slab gather up to date with `set` (see [`SparseSlabs`]).
+    /// On reduced storage an unchanged plan reuses the gather as-is and a
+    /// drifted plan copies carried-over slabs from the previous gather,
+    /// decoding only the newly-activated blocks ([`NeuronBlockSet::diff`])
+    /// from the stored f16/int8/NF4/2:4 bits. f32 weights are copied afresh
+    /// on every call; those copies count as decodes.
     fn refresh_slab_cache(&mut self, set: &Arc<NeuronBlockSet>) {
-        let bsz = set.block_size;
-        if let Some(c) = &mut self.slab_cache {
+        let frozen = self.w1.is_reduced() && self.w2.is_reduced();
+        if let Some(c) = self.slab_cache.as_ref().filter(|_| frozen) {
             if *c.set == **set {
-                // The f16 weight bits are frozen, but a trainable bias
-                // (BitFit) moves every optimizer step: refresh the compact
-                // gather in place so the cache never serves stale values.
-                if self.b1.trainable {
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        let n0 = blk as usize * bsz;
-                        c.b1.as_mut_slice()[ci * bsz..(ci + 1) * bsz]
-                            .copy_from_slice(&self.b1.value.as_slice()[n0..n0 + bsz]);
-                    }
-                }
                 self.slabs_reused += set.n_active() as u64;
                 slab_counters().carried.add(set.n_active() as u64);
                 return;
             }
         }
-        let d = self.d_model;
-        assert!(
-            self.w1.is_reduced() && self.w2.is_reduced(),
-            "slab cache requires reduced-stored FC weights"
-        );
-        let prev = self.slab_cache.take();
+        let (d, bsz) = (self.d_model, set.block_size);
+        let mut prev = self.slab_cache.take();
+        if !frozen {
+            // Nothing carries over from movable weights: the old gather is
+            // simply the next destination.
+            self.slab_spare = prev.take().map(|p| (p.w1, p.w2));
+        }
         // Blocks newly activated relative to the previous gather must be
         // decoded; everything else is carried over with an f32 copy.
         let added = prev.as_ref().map(|p| set.diff(&p.set).added);
-        // Recycle the buffers retired two drifts ago when the active width
-        // is unchanged (the common steady-state case — the plan picks a
-        // fixed number of blocks, only *which* blocks drifts). Every active
-        // span is decoded or carried below, so stale contents never leak.
-        let (mut w1, mut w2, mut b1) = match self.slab_spare.take() {
-            Some((w1, w2, b1)) if w1.shape() == [set.active_neurons(), d] => (w1, w2, b1),
-            _ => (
-                Tensor::zeros(&[set.active_neurons(), d]),
-                Tensor::zeros(&[set.active_neurons(), d]),
-                Tensor::zeros(&[set.active_neurons()]),
-            ),
+        // Recycle the retired buffers when the active width is unchanged
+        // (the common steady-state case — the plan picks a fixed number of
+        // blocks, only *which* blocks drifts). Every active span is decoded
+        // or carried below, so stale contents never leak.
+        let shape = [set.active_neurons(), d];
+        let (mut w1, mut w2) = match self.slab_spare.take() {
+            Some((w1, w2)) if w1.shape() == shape => (w1, w2),
+            _ => (Tensor::zeros(&shape), Tensor::zeros(&shape)),
         };
         // Monotone cursors: `set.active`, `added` and `prev.set.active` are
         // all sorted, so one forward walk finds every carry position.
         let (mut ai, mut pp) = (0usize, 0usize);
         for (ci, &blk) in set.active.iter().enumerate() {
-            let (n0, span) = (blk as usize * bsz, ci * bsz * d..(ci + 1) * bsz * d);
+            let span = ci * bsz * d..(ci + 1) * bsz * d;
             let is_added = match &added {
                 Some(a) => a.get(ai) == Some(&blk),
                 None => true,
             };
             if is_added {
                 ai += 1;
+                let n0 = blk as usize * bsz;
                 self.w1
                     .decode_rows(n0, bsz, &mut w1.as_mut_slice()[span.clone()]);
                 self.w2.decode_rows(n0, bsz, &mut w2.as_mut_slice()[span]);
@@ -284,21 +286,20 @@ impl MlpBlock {
                 self.slabs_reused += 1;
                 slab_counters().carried.inc();
             }
-            b1.as_mut_slice()[ci * bsz..(ci + 1) * bsz]
-                .copy_from_slice(&self.b1.value.as_slice()[n0..n0 + bsz]);
         }
-        self.slab_spare = prev.map(|p| (p.w1, p.w2, p.b1));
+        self.slab_spare = prev.map(|p| (p.w1, p.w2));
         self.slab_cache = Some(SparseSlabs {
             set: set.clone(),
             w1,
             w2,
-            b1,
-            cset: Arc::new(set.compacted()),
         });
     }
 
-    /// `(decoded, carried-over)` slab-block counters since construction —
-    /// how much reduced→f32 decode work the cross-step cache avoided.
+    /// `(gathered, carried-over)` slab-block counters since construction.
+    /// A block is *gathered* when it is decoded from reduced storage or
+    /// copied from f32 weights, and *carried* when a reduced-stored step
+    /// reuses it from the previous gather — the decode work the cross-step
+    /// cache avoided.
     pub fn slab_cache_stats(&self) -> (u64, u64) {
         (self.slabs_decoded, self.slabs_reused)
     }
@@ -308,158 +309,79 @@ impl MlpBlock {
         self.slab_cache = None;
     }
 
-    fn forward_dense(&mut self, x: &Tensor) -> Tensor {
-        let rows = x.rows();
-        // z = x·W1ᵀ(stored) + b1  (+ LoRA1). The bias rides the GEMM
-        // write-back as a fused epilogue; the activation stays unfused
-        // because backward needs the pre-activation z.
-        let mut z = self
-            .w1
-            .matmul_nt_ep(x, Epilogue::Bias(self.b1.value.as_slice()));
-        let mut ax1 = None;
-        if let Some(l) = &mut self.lora1 {
-            let ax = matmul_nt(x, &l.a.value); // [rows, r]
-            let delta = matmul_nt(&ax, &l.b.value); // [rows, d_ff]
-            z.axpy(l.scale, &delta);
-            ax1 = Some(ax.clone());
-            l.cache_ax = Some(ax);
-        }
-        let a = self.activate(&z);
-        // y = a·W2 + b2  (+ LoRA2), bias again fused into the write-back.
-        let mut y = self
-            .w2
-            .matmul_ep(&a, Epilogue::Bias(self.b2.value.as_slice()));
-        let mut ax2 = None;
-        if let Some(l) = &mut self.lora2 {
-            let ax = matmul(&a, &l.a.value); // [rows, r]
-            let delta = matmul_nt(&ax, &l.b.value); // [rows, d]
-            y.axpy(l.scale, &delta);
-            ax2 = Some(ax.clone());
-            l.cache_ax = Some(ax);
-        }
-        debug_assert_eq!(y.rows(), rows);
-        self.cache = Some(MlpCache {
-            x: x.clone(),
-            z,
-            a,
-            set: None,
-            used_slabs: false,
-            ax1,
-            ax2,
-        });
-        y
+    /// The compact slab gather a sparse step runs on (`None`: dense plan).
+    fn slabs(&self, plan: Option<&NeuronBlockSet>) -> Option<&SparseSlabs> {
+        let plan = plan?;
+        let slabs = self
+            .slab_cache
+            .as_ref()
+            .expect("sparse step without a slab gather");
+        debug_assert_eq!(*slabs.set, *plan, "slab gather is for another plan");
+        Some(slabs)
     }
 
-    fn forward_sparse(&mut self, x: &Tensor, set: Arc<NeuronBlockSet>) -> Tensor {
-        assert_eq!(
-            set.total_neurons(),
-            self.d_ff,
-            "neuron block grid must cover d_ff"
-        );
-        assert_eq!(
-            self.activation,
-            Activation::Relu,
-            "neuron sparsity requires ReLU (paper §II-B)"
-        );
-        let rows = x.rows();
-        let width = set.active_neurons();
-        // Reduced-stored weights (f16 or block-quantized): run the neuron
-        // kernels in the compact coordinate system over the cross-step slab
-        // cache (only blocks that drifted in get decoded); f32 weights use
-        // the full buffers with the global set, as before. Both layouts
-        // produce the identical compact `rows × active` buffers.
-        let used_slabs = self.w1.is_reduced();
-        if used_slabs {
-            assert!(
-                self.w2.is_reduced(),
-                "FC1/FC2 must share a storage precision"
+    /// FC1 as a step's GEMM operand: the stored weight under a dense plan,
+    /// its active-slab gather under a sparse one.
+    fn fc1(&self, plan: Option<&NeuronBlockSet>) -> Operand<'_> {
+        self.slabs(plan)
+            .map_or_else(|| self.w1.operand(), |s| s.w1.operand())
+    }
+
+    /// FC2 as a step's GEMM operand (see [`Self::fc1`]).
+    fn fc2(&self, plan: Option<&NeuronBlockSet>) -> Operand<'_> {
+        self.slabs(plan)
+            .map_or_else(|| self.w2.operand(), |s| s.w2.operand())
+    }
+
+    pub fn forward(&mut self, x: &Tensor, set: Option<&Arc<NeuronBlockSet>>) -> Tensor {
+        if let Some(set) = set {
+            assert_eq!(
+                set.total_neurons(),
+                self.d_ff,
+                "neuron block grid must cover d_ff"
             );
-            self.refresh_slab_cache(&set);
+            assert_eq!(
+                self.activation,
+                Activation::Relu,
+                "neuron sparsity requires ReLU (paper §II-B)"
+            );
+            self.refresh_slab_cache(set);
         }
-        let slabs = used_slabs.then(|| self.slab_cache.as_ref().expect("slab cache refreshed"));
-        let (w1s, b1s, w2s, kset): (&[f32], &[f32], &[f32], &NeuronBlockSet) = match slabs {
-            Some(s) => (s.w1.as_slice(), s.b1.as_slice(), s.w2.as_slice(), &s.cset),
-            None => (
-                self.w1.value.as_slice(),
-                self.b1.value.as_slice(),
-                self.w2.value.as_slice(),
-                &set,
-            ),
-        };
-        let mut z = Tensor::zeros(&[rows, width]);
-        fc1_forward(
-            x.as_slice(),
-            rows,
-            w1s,
-            self.d_model,
-            Some(b1s),
-            kset,
-            z.as_mut_slice(),
+        let plan = set.map(|s| &**s);
+        // z = x·W1ᵀ + b1  (+ LoRA1). The bias rides the GEMM write-back as a
+        // fused epilogue; the activation stays unfused because backward
+        // needs the pre-activation z.
+        let mut z = matmul_operand(
+            x,
+            self.fc1(plan),
+            true,
+            Epilogue::Bias(rows_of(plan, &self.b1.value).as_slice()),
         );
-        let mut ax1 = None;
-        if let Some(l) = &mut self.lora1 {
+        let ax1 = self.lora1.as_ref().map(|l| {
             let ax = matmul_nt(x, &l.a.value); // [rows, r]
-            let r = ax.cols();
-            // z[row, compact(n)] += scale · ⟨ax_row, B1_row(n)⟩, active only.
-            for row in 0..rows {
-                let ax_row = ax.row(row);
-                let z_row = z.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..set.block_size {
-                        let n = blk as usize * set.block_size + t;
-                        let b_row = &l.b.value.as_slice()[n * r..(n + 1) * r];
-                        let dot: f32 = ax_row.iter().zip(b_row).map(|(u, v)| u * v).sum();
-                        z_row[ci * set.block_size + t] += l.scale * dot;
-                    }
-                }
-            }
-            ax1 = Some(ax.clone());
-            l.cache_ax = Some(ax);
-        }
+            let delta = matmul_nt(&ax, &rows_of(plan, &l.b.value)); // [rows, active]
+            z.axpy(l.scale, &delta);
+            ax
+        });
         let a = self.activate(&z);
-        let mut y = Tensor::zeros(&[rows, self.d_model]);
-        fc2_forward(
-            a.as_slice(),
-            rows,
-            w2s,
-            self.d_model,
-            Some(self.b2.value.as_slice()),
-            kset,
-            y.as_mut_slice(),
+        // y = a·W2 + b2  (+ LoRA2), bias again fused into the write-back.
+        let mut y = matmul_operand(
+            &a,
+            self.fc2(plan),
+            false,
+            Epilogue::Bias(self.b2.value.as_slice()),
         );
-        let mut ax2 = None;
-        if let Some(l) = &mut self.lora2 {
-            let r = l.b.value.shape()[1];
-            // ax2[row,:] = Σ_active a[row, compact(n)] · A2ᵀ_row(n)
-            let mut ax = Tensor::zeros(&[rows, r]);
-            for row in 0..rows {
-                let a_row = a.row(row);
-                let ax_row = ax.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..set.block_size {
-                        let n = blk as usize * set.block_size + t;
-                        let av = a_row[ci * set.block_size + t];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let a2_row = &l.a.value.as_slice()[n * r..(n + 1) * r];
-                        for (o, &v) in ax_row.iter_mut().zip(a2_row) {
-                            *o += av * v;
-                        }
-                    }
-                }
-            }
+        let ax2 = self.lora2.as_ref().map(|l| {
+            let ax = matmul(&a, &rows_of(plan, &l.a.value)); // [rows, r]
             let delta = matmul_nt(&ax, &l.b.value); // [rows, d]
             y.axpy(l.scale, &delta);
-            ax2 = Some(ax.clone());
-            l.cache_ax = Some(ax);
-        }
+            ax
+        });
         self.cache = Some(MlpCache {
             x: x.clone(),
             z,
             a,
-            set: Some(set),
-            used_slabs,
+            set: set.cloned(),
             ax1,
             ax2,
         });
@@ -468,16 +390,10 @@ impl MlpBlock {
 
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let cache = self.cache.take().expect("MLP backward without forward");
-        match &cache.set {
-            None => self.backward_dense(dy, &cache),
-            Some(set) => self.backward_sparse(dy, &cache, set.clone()),
-        }
-    }
-
-    fn backward_dense(&mut self, dy: &Tensor, cache: &MlpCache) -> Tensor {
+        let plan = cache.set.as_deref();
         // FC2 (+ LoRA2): da = dy·W2ᵀ with W2 stored `[d_ff, d]` row-major —
-        // the `nt` kernel shape, fused-decoding when half-stored.
-        let mut da = self.w2.matmul_nt(dy);
+        // the `nt` kernel shape, fused-decoding a reduced-stored dense W2.
+        let mut da = matmul_operand(dy, self.fc2(plan), true, Epilogue::None);
         if let Some(l) = &mut self.lora2 {
             let ax = cache.ax2.as_ref().expect("lora2 cache");
             let mut dax = matmul(dy, &l.b.value); // [rows, r]
@@ -488,217 +404,46 @@ impl MlpBlock {
                 l.b.accumulate_grad(&db);
             }
             if l.a.trainable {
-                let dat = matmul_tn(&cache.a, &dax); // [d_ff, r]
-                l.a.accumulate_grad(&dat);
+                accumulate_rows(plan, &mut l.a, &matmul_tn(&cache.a, &dax)); // [active, r]
             }
-            da.add_assign(&matmul_nt(&dax, &l.a.value));
+            da.add_assign(&matmul_nt(&dax, &rows_of(plan, &l.a.value)));
         }
         if self.b2.trainable {
             bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
         }
         if self.w2.trainable {
-            let dw2 = matmul_tn(&cache.a, dy); // [d_ff, d]
-            self.w2.accumulate_grad(&dw2);
+            accumulate_rows(plan, &mut self.w2, &matmul_tn(&cache.a, dy)); // [active, d]
         }
         // Activation.
         let dz = self.activate_backward(&da, &cache.z);
-        // FC1 (+ LoRA1).
+        // FC1 (+ LoRA1). A dense plan sums b1's gradient straight into the
+        // accumulator (micro-batch accumulation keeps its rounding); a
+        // sparse one sums the compact columns, then scatters.
         if self.b1.trainable {
-            bias_grad_rows(&dz, self.b1.grad_mut().as_mut_slice());
+            match plan {
+                None => bias_grad_rows(&dz, self.b1.grad_mut().as_mut_slice()),
+                Some(set) => {
+                    let mut db1 = Tensor::zeros(&[dz.cols()]);
+                    bias_grad_rows(&dz, db1.as_mut_slice());
+                    set.scatter_add_rows(&db1, self.b1.grad_mut());
+                }
+            }
         }
         if self.w1.trainable {
-            let dw1 = matmul_tn(&dz, &cache.x); // [d_ff, d]
-            self.w1.accumulate_grad(&dw1);
+            accumulate_rows(plan, &mut self.w1, &matmul_tn(&dz, &cache.x)); // [active, d]
         }
-        let mut dx = self.w1.matmul(&dz); // dz · W1(stored [d_ff,d])
+        let mut dx = matmul_operand(&dz, self.fc1(plan), false, Epilogue::None);
         if let Some(l) = &mut self.lora1 {
             let ax = cache.ax1.as_ref().expect("lora1 cache");
-            let mut dax = matmul(&dz, &l.b.value); // [rows, r]
+            let mut dax = matmul(&dz, &rows_of(plan, &l.b.value)); // [rows, r]
             dax.scale(l.scale);
             if l.b.trainable {
-                let mut db = matmul_tn(&dz, ax); // [d_ff, r]
+                let mut db = matmul_tn(&dz, ax); // [active, r]
                 db.scale(l.scale);
-                l.b.accumulate_grad(&db);
+                accumulate_rows(plan, &mut l.b, &db);
             }
             if l.a.trainable {
                 let da1 = matmul_tn(&dax, &cache.x); // [r, d]
-                l.a.accumulate_grad(&da1);
-            }
-            dx.add_assign(&matmul(&dax, &l.a.value));
-        }
-        dx
-    }
-
-    fn backward_sparse(
-        &mut self,
-        dy: &Tensor,
-        cache: &MlpCache,
-        set: Arc<NeuronBlockSet>,
-    ) -> Tensor {
-        let rows = dy.rows();
-        let width = set.active_neurons();
-        let bsz = set.block_size;
-        // Same storage dispatch as forward: the cross-step slab cache still
-        // holds this step's gather, so the backward kernels reuse it for free.
-        let slabs = cache
-            .used_slabs
-            .then(|| self.slab_cache.as_ref().expect("slab cache present"));
-        let (w1s, w2s, kset): (&[f32], &[f32], &NeuronBlockSet) = match slabs {
-            Some(s) => (s.w1.as_slice(), s.w2.as_slice(), &s.cset),
-            None => (self.w1.value.as_slice(), self.w2.value.as_slice(), &set),
-        };
-        // FC2 backward to compact dA.
-        let mut da = Tensor::zeros(&[rows, width]);
-        fc2_backward_input(
-            dy.as_slice(),
-            rows,
-            w2s,
-            self.d_model,
-            kset,
-            da.as_mut_slice(),
-        );
-        if let Some(l) = &mut self.lora2 {
-            let ax = cache.ax2.as_ref().expect("lora2 cache");
-            let r = l.b.value.shape()[1];
-            let mut dax = matmul(dy, &l.b.value);
-            dax.scale(l.scale);
-            if l.b.trainable {
-                let mut db = matmul_tn(dy, ax);
-                db.scale(l.scale);
-                l.b.accumulate_grad(&db);
-            }
-            if l.a.trainable {
-                // dA2ᵀ_row(n) += Σ_rows a[row, compact(n)] · dax[row,:] — active rows only.
-                let g = l.a.grad_mut();
-                for row in 0..rows {
-                    let a_row = cache.a.row(row);
-                    let dax_row = dax.row(row);
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        for t in 0..bsz {
-                            let n = blk as usize * bsz + t;
-                            let av = a_row[ci * bsz + t];
-                            if av == 0.0 {
-                                continue;
-                            }
-                            let dst = &mut g.as_mut_slice()[n * r..(n + 1) * r];
-                            for (o, &v) in dst.iter_mut().zip(dax_row) {
-                                *o += av * v;
-                            }
-                        }
-                    }
-                }
-            }
-            // da[row, compact(n)] += ⟨dax_row, A2ᵀ_row(n)⟩
-            for row in 0..rows {
-                let dax_row = dax.row(row);
-                let da_row = da.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        let n = blk as usize * bsz + t;
-                        let a2_row = &l.a.value.as_slice()[n * r..(n + 1) * r];
-                        let dot: f32 = dax_row.iter().zip(a2_row).map(|(u, v)| u * v).sum();
-                        da_row[ci * bsz + t] += dot;
-                    }
-                }
-            }
-        }
-        if self.b2.trainable {
-            bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
-        }
-        if self.w2.trainable {
-            fc2_grad_weights(
-                cache.a.as_slice(),
-                dy.as_slice(),
-                rows,
-                self.d_model,
-                &set,
-                self.w2.grad_mut().as_mut_slice(),
-            );
-        }
-        // Activation backward on the compact buffers.
-        let dz = self.activate_backward(&da, &cache.z);
-        // dx first: it reads the (possibly slab-decoded) weight view, whose
-        // borrow must end before the grad blocks take `&mut` access below.
-        let mut dx = Tensor::zeros(&[rows, self.d_model]);
-        fc1_backward_input(
-            dz.as_slice(),
-            rows,
-            w1s,
-            self.d_model,
-            kset,
-            dx.as_mut_slice(),
-        );
-        // FC1 grads — active blocks only (§II-D). Weight grads address the
-        // full-size buffers, so they use the global set; frozen reduced-
-        // stored weights never take this path (trainability implies f32).
-        if self.b1.trainable {
-            let g = self.b1.grad_mut();
-            for row in 0..rows {
-                let dz_row = dz.row(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        g.as_mut_slice()[blk as usize * bsz + t] += dz_row[ci * bsz + t];
-                    }
-                }
-            }
-        }
-        if self.w1.trainable {
-            fc1_grad_weights(
-                cache.x.as_slice(),
-                dz.as_slice(),
-                rows,
-                self.d_model,
-                &set,
-                self.w1.grad_mut().as_mut_slice(),
-                None,
-            );
-        }
-        if let Some(l) = &mut self.lora1 {
-            let ax = cache.ax1.as_ref().expect("lora1 cache");
-            let r = l.b.value.shape()[1];
-            // dax[row,:] = scale · Σ_active dz[row, compact(n)] · B1_row(n)
-            let mut dax = Tensor::zeros(&[rows, r]);
-            for row in 0..rows {
-                let dz_row = dz.row(row);
-                let dax_row = dax.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        let g = dz_row[ci * bsz + t];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let n = blk as usize * bsz + t;
-                        let b_row = &l.b.value.as_slice()[n * r..(n + 1) * r];
-                        for (o, &v) in dax_row.iter_mut().zip(b_row) {
-                            *o += l.scale * g * v;
-                        }
-                    }
-                }
-            }
-            if l.b.trainable {
-                // dB1_row(n) += scale · Σ_rows dz[row, compact(n)] · ax[row,:]
-                // — inactive neuron rows receive nothing (§II-D).
-                let g = l.b.grad_mut();
-                for row in 0..rows {
-                    let dz_row = dz.row(row);
-                    let ax_row = ax.row(row);
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        for t in 0..bsz {
-                            let gv = dz_row[ci * bsz + t];
-                            if gv == 0.0 {
-                                continue;
-                            }
-                            let n = blk as usize * bsz + t;
-                            let dst = &mut g.as_mut_slice()[n * r..(n + 1) * r];
-                            for (o, &v) in dst.iter_mut().zip(ax_row) {
-                                *o += l.scale * gv * v;
-                            }
-                        }
-                    }
-                }
-            }
-            if l.a.trainable {
-                let da1 = matmul_tn(&dax, &cache.x);
                 l.a.accumulate_grad(&da1);
             }
             dx.add_assign(&matmul(&dax, &l.a.value));

@@ -121,8 +121,12 @@ impl TransformerModel {
     }
 
     /// Summed `(decoded, carried-over)` active-slab counters across every
-    /// layer's cross-step slab cache (reduced-stored sparse MLP path) — how
-    /// much f16/int8/NF4→f32 decode work shadowy-sparsity reuse avoided.
+    /// layer's sparse-MLP slab gather (see [`MlpBlock::slab_cache_stats`]):
+    /// blocks decoded from reduced storage or copied from f32 weights, and
+    /// blocks a reduced-stored step carried over instead — the
+    /// f16/int8/NF4/2:4→f32 decode work shadowy-sparsity reuse avoided.
+    ///
+    /// [`MlpBlock::slab_cache_stats`]: crate::mlp::MlpBlock::slab_cache_stats
     pub fn slab_cache_stats(&self) -> (u64, u64) {
         self.blocks
             .iter()
@@ -507,6 +511,40 @@ mod tests {
             last < first * 0.9,
             "loss should drop when overfitting one batch: {first} -> {last}"
         );
+    }
+
+    #[test]
+    fn full_ft_sparse_steps_see_moved_f32_weights() {
+        // Full fine-tuning on f32: the optimizer moves W1/W2 in place with
+        // no storage change, so steps under an unchanged neuron plan must
+        // run on the moved weights — bit-identical to a run that drops every
+        // layer's slab gather before each step.
+        let run = |invalidate: bool| {
+            let mut m = tiny();
+            m.for_each_param(&mut |p| p.trainable = true);
+            let mut plan = SparsePlan::dense(m.config.n_layers);
+            for layer in plan.layers.iter_mut() {
+                let set = lx_sparse::NeuronBlockSet::from_indices(vec![0, 3, 5], 8, 4);
+                layer.mlp = Some(std::sync::Arc::new(set));
+            }
+            let mut opt = Sgd::new(0.05);
+            let ids = sample_batch(&m, 2, 8, 6);
+            let targets = prompt_aware_targets(&ids, 2, 8, 0);
+            (0..3)
+                .map(|_| {
+                    if invalidate {
+                        for b in &mut m.blocks {
+                            b.mlp.invalidate_slab_cache();
+                        }
+                    }
+                    let req = StepRequest::train(&ids, &targets, 2, 8, &mut opt);
+                    m.execute(req.plan(&plan)).loss.to_bits()
+                })
+                .collect::<Vec<_>>()
+        };
+        let cached = run(false);
+        assert_eq!(cached, run(true));
+        assert!(cached[0] != cached[1], "the optimizer must move the loss");
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl Param {
     }
 
     /// The stored 2-D matrix as a GEMM operand, whichever storage holds it.
-    fn operand(&self) -> Operand<'_> {
+    pub(crate) fn operand(&self) -> Operand<'_> {
         self.frozen
             .as_ref()
             .map_or_else(|| self.value.operand(), |f| f.operand())
@@ -161,11 +161,6 @@ impl Param {
     /// matmul followed by the equivalent bias/activation passes.
     pub fn matmul_ep(&self, x: &Tensor, ep: Epilogue<'_>) -> Tensor {
         matmul_operand(x, self.operand(), false, ep)
-    }
-
-    /// [`matmul_nt`](Self::matmul_nt) with a fused [`Epilogue`].
-    pub fn matmul_nt_ep(&self, x: &Tensor, ep: Epilogue<'_>) -> Tensor {
-        matmul_operand(x, self.operand(), true, ep)
     }
 
     /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`

@@ -24,9 +24,10 @@ fn mask_violations() -> &'static Arc<Counter> {
     C.get_or_init(|| registry().counter("peft.merge.mask_violations"))
 }
 
-/// Process-wide total of [`mask_violations`] — how many pruned weight
-/// positions merges have projected back to zero. Exposed for tests and
-/// benches; the same value ships through the `lx-obs` registry.
+/// Process-wide total of the `peft.merge.mask_violations` counter — how
+/// many pruned weight positions merges have projected back to zero. Exposed
+/// for tests and benches; the same value ships through the `lx-obs`
+/// registry.
 pub fn mask_violation_total() -> u64 {
     mask_violations().get()
 }

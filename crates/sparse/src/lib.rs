@@ -17,10 +17,11 @@
 //! * **SDD / DSD block kernels** ([`attention`]): `S = D·Dᵀ` restricted to
 //!   active score blocks, `D = S·D`, their transposed forms for the backward
 //!   pass, and block-sparse row softmax.
-//! * **Neuron-centric MLP kernels** ([`neuron`]): column-sparse FC1 /
-//!   row-sparse FC2 matmuls over active neuron *blocks*, with FC1 weights
-//!   stored column-major and FC2 row-major so active blocks are contiguous
-//!   (the paper's memory-coalescing optimisation).
+//! * **Neuron-block sets** ([`neuron`]): the active MLP neuron *blocks* of
+//!   a plan, and the row gather / scatter-add that turns a sparse MLP step
+//!   into the dense step on compact operands — both weights are stored
+//!   neuron-major, so an active block is one contiguous slab (the paper's
+//!   memory-coalescing optimisation).
 //! * **Unstructured baseline** ([`scattered`]): element-granular sparse ops
 //!   used as the "Shadowy" arm in Fig. 9/12 — the paper (and this repo)
 //!   find it *slower* than dense due to lost arithmetic intensity.
@@ -34,7 +35,7 @@ pub mod scattered;
 
 pub use layout::{BlockCsr, MultiHeadLayout};
 pub use mask::BlockMask;
-pub use neuron::{BlockSetDiff, ColMajorWeights, NeuronBlockSet};
+pub use neuron::{BlockSetDiff, NeuronBlockSet};
 pub use patterns::{PatternPool, PatternSpec};
 
 /// Default score-block edge and MLP neuron-block size (paper uses 32).

@@ -1,26 +1,27 @@
-//! Neuron-centric block-sparse MLP kernels (paper §VI-B).
+//! Neuron-block sets for the sparse MLP (paper §VI-B).
 //!
 //! When a ReLU MLP neuron is inactive for a whole batch, the corresponding
 //! *column* of FC1 and *row* of FC2 drop out of both the forward and the
-//! backward pass. Long Exposure filters neurons at block granularity, so the
-//! kernels here operate on a sorted list of active neuron *blocks*:
+//! backward pass. Long Exposure filters neurons at block granularity, so a
+//! plan is a sorted list of active neuron *blocks* ([`NeuronBlockSet`]).
 //!
-//! * FC1 weights are stored **column-major** ([`ColMajorWeights`]) so an
-//!   active output-neuron block is a contiguous `block·d_in` slab;
-//! * FC2 weights stay **row-major** so an active input-neuron block is a
-//!   contiguous `block·d_out` slab.
+//! The MLP keeps both weights neuron-major (`[d_ff, d]`: FC1 as the
+//! transpose of the conventional `d × d_ff` matrix, FC2 row-major), so an
+//! active block is one contiguous `block·d` slab in **both** matrices. The
+//! sparse step gathers those slabs into compact `[active_neurons, d]`
+//! buffers and then runs exactly the dense step's GEMMs on the smaller
+//! operands — structured dense compute, no per-block kernels and no runtime
+//! format conversion (the paper's "dynamic-aware" property).
 //!
-//! This mirrors the paper's memory-coalescing layout choice and means the
-//! kernels never convert data formats at runtime — the property that makes
-//! them "dynamic-aware". Because each active slab is contiguous, every
-//! per-block product below is one strided GEMM on the `lx-kernels`
-//! [`KernelBackend`](lx_kernels::KernelBackend): the compact activation matrix is addressed with
-//! `lda = active_width` and the slab with its natural leading dimension, so
-//! sparse MLP work runs on the same packed microkernels as the dense path.
+//! Everything else that is indexed by neuron — biases, LoRA factors, full
+//! fine-tuning gradients — moves through the same two helpers:
+//! [`NeuronBlockSet::gather_rows`] packs the active rows of a per-neuron
+//! tensor in plan order, and [`NeuronBlockSet::scatter_add_rows`] adds a
+//! compact gradient back into the full-size buffer. Both degrade to a
+//! borrow / a whole-tensor add when every block is active.
 
-use lx_kernels::Gemm;
-use lx_parallel::{par_disjoint, par_rows};
-use std::ops::Range;
+use lx_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Sorted set of active neuron blocks out of `n_blocks_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,24 +101,58 @@ impl NeuronBlockSet {
         self.active.len() == self.n_blocks_total
     }
 
-    /// The same active blocks renumbered to `0..n_active` over a grid that
-    /// contains only them — the coordinate system of a weight buffer holding
-    /// just the active slabs (gathered in `active` order). Used by the
-    /// mixed-precision MLP path, which decodes only the active slabs of a
-    /// half-stored weight to f32.
-    pub fn compacted(&self) -> NeuronBlockSet {
-        NeuronBlockSet {
-            block_size: self.block_size,
-            n_blocks_total: self.n_active(),
-            active: (0..self.n_active() as u32).collect(),
-        }
+    /// Values per neuron row of `t`, a tensor with one leading-dim row per
+    /// neuron of the grid (`[total_neurons, ..]`).
+    fn row_len(&self, t: &Tensor) -> usize {
+        assert_eq!(
+            t.shape().first(),
+            Some(&self.total_neurons()),
+            "per-neuron tensor must have one row per neuron"
+        );
+        t.len() / self.total_neurons().max(1)
     }
 
-    /// Weight-buffer span of active block `ai` when each neuron owns `per`
-    /// contiguous elements (an FC1 column slab or FC2 row slab).
-    fn slab(&self, ai: usize, per: usize) -> Range<usize> {
-        let blk = self.active[ai] as usize * self.block_size;
-        blk * per..(blk + self.block_size) * per
+    /// The active neurons' rows of `src` (`[total_neurons, ..]`: a
+    /// neuron-major weight, a LoRA factor, a bias), packed in plan order
+    /// into `[active_neurons, ..]`. Borrows `src` when every block is
+    /// active.
+    pub fn gather_rows<'a>(&self, src: &'a Tensor) -> Cow<'a, Tensor> {
+        if self.is_dense() {
+            return Cow::Borrowed(src);
+        }
+        let span = self.block_size * self.row_len(src);
+        let mut shape = src.shape().to_vec();
+        shape[0] = self.active_neurons();
+        let mut out = Tensor::zeros(&shape);
+        let (dst, src) = (out.as_mut_slice(), src.as_slice());
+        for (ai, &blk) in self.active.iter().enumerate() {
+            let blk = blk as usize;
+            dst[ai * span..(ai + 1) * span].copy_from_slice(&src[blk * span..(blk + 1) * span]);
+        }
+        Cow::Owned(out)
+    }
+
+    /// `dst[active rows] += src`, the adjoint of [`Self::gather_rows`]:
+    /// lands a compact per-neuron gradient (`[active_neurons, ..]`) in its
+    /// full-size buffer (`[total_neurons, ..]`). Inactive rows are untouched
+    /// — forward-inactive neurons receive no gradient (§II-D). Adds `src`
+    /// whole when every block is active.
+    pub fn scatter_add_rows(&self, src: &Tensor, dst: &mut Tensor) {
+        if self.is_dense() {
+            return dst.add_assign(src);
+        }
+        let span = self.block_size * self.row_len(dst);
+        assert_eq!(src.len(), self.n_active() * span, "compact rows size");
+        let (dst, src) = (dst.as_mut_slice(), src.as_slice());
+        for (ai, &blk) in self.active.iter().enumerate() {
+            let blk = blk as usize;
+            for (d, s) in dst[blk * span..(blk + 1) * span]
+                .iter_mut()
+                .zip(&src[ai * span..(ai + 1) * span])
+            {
+                *d += s;
+            }
+        }
     }
 
     /// Number of active blocks present in both sets (merge walk over the
@@ -206,322 +241,11 @@ pub struct BlockSetDiff {
     pub removed: Vec<u32>,
 }
 
-/// FC1 weights stored column-major: `data[col · d_in + row]`, i.e. each
-/// output-neuron column is contiguous.
-#[derive(Debug, Clone)]
-pub struct ColMajorWeights {
-    pub d_in: usize,
-    pub d_out: usize,
-    data: Vec<f32>,
-}
-
-impl ColMajorWeights {
-    /// Convert from a row-major `d_in × d_out` weight matrix.
-    pub fn from_row_major(w: &[f32], d_in: usize, d_out: usize) -> Self {
-        assert_eq!(w.len(), d_in * d_out);
-        let mut data = vec![0.0; d_in * d_out];
-        for r in 0..d_in {
-            for c in 0..d_out {
-                data[c * d_in + r] = w[r * d_out + c];
-            }
-        }
-        ColMajorWeights { d_in, d_out, data }
-    }
-
-    pub fn zeros(d_in: usize, d_out: usize) -> Self {
-        ColMajorWeights {
-            d_in,
-            d_out,
-            data: vec![0.0; d_in * d_out],
-        }
-    }
-
-    /// Contiguous column `c` (one output neuron's weights).
-    #[inline]
-    pub fn col(&self, c: usize) -> &[f32] {
-        &self.data[c * self.d_in..(c + 1) * self.d_in]
-    }
-
-    #[inline]
-    pub fn col_mut(&mut self, c: usize) -> &mut [f32] {
-        &mut self.data[c * self.d_in..(c + 1) * self.d_in]
-    }
-
-    /// Back to row-major (tests, checkpointing).
-    pub fn to_row_major(&self) -> Vec<f32> {
-        let mut w = vec![0.0; self.d_in * self.d_out];
-        for c in 0..self.d_out {
-            for r in 0..self.d_in {
-                w[r * self.d_out + c] = self.data[c * self.d_in + r];
-            }
-        }
-        w
-    }
-
-    pub fn raw(&self) -> &[f32] {
-        &self.data
-    }
-
-    pub fn raw_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-}
-
-/// Rows-per-task grain targeting ~32K MACs, as the original loops used.
-fn rows_grain(width: usize, d: usize) -> usize {
-    ((1 << 15) / (width * d).max(1)).max(1)
-}
-
-/// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1.col(active[a]·b+t)⟩ (+ bias)`.
-///
-/// `z` is *compact*: `rows × active_neurons`, holding only active columns.
-/// Each active block is `Z_a = X · W_aᵀ`, a strided `nt`-GEMM against the
-/// contiguous column slab `W_a`.
-pub fn fc1_forward(
-    x: &[f32],
-    rows: usize,
-    w1t: &[f32],
-    d_in: usize,
-    bias: Option<&[f32]>,
-    set: &NeuronBlockSet,
-    z: &mut [f32],
-) {
-    debug_assert_eq!(
-        w1t.len(),
-        set.total_neurons() * d_in,
-        "fc1: w1t is d_out×d_in"
-    );
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(x.len(), rows * d_in, "fc1: x is rows×d_in");
-    assert_eq!(z.len(), rows * width, "fc1: z is rows×active");
-    if width == 0 {
-        return;
-    }
-    let be = lx_kernels::backend();
-    par_rows(z, rows, width, rows_grain(width, d_in), |rr, chunk| {
-        let m = rr.len();
-        let x_win = &x[rr.start * d_in..rr.end * d_in];
-        for (a, &blk) in set.active.iter().enumerate() {
-            let w_blk = &w1t[blk as usize * b * d_in..(blk as usize + 1) * b * d_in];
-            // Each block writes its own b-column window once, so the bias
-            // rides the GEMM write-back as a fused epilogue (per-block bias
-            // slab) instead of a second pass over the whole compact z.
-            let ep = match bias {
-                Some(bias) => {
-                    lx_kernels::Epilogue::Bias(&bias[blk as usize * b..(blk as usize + 1) * b])
-                }
-                None => lx_kernels::Epilogue::None,
-            };
-            be.gemm(
-                &Gemm::nt(m, d_in, b, x_win, d_in, w_blk, d_in).epilogue(ep),
-                &mut chunk[a * b..],
-                width,
-            );
-        }
-    });
-}
-
-/// FC2 forward: `y[r,:] = Σ_active a[r, blk]·w2_row(neuron) (+ bias)`.
-///
-/// `w2` is row-major `h × d_out`; `a` is compact `rows × active_neurons`.
-/// Each active block accumulates `Y += A_blk · W2_blk` (strided GEMM,
-/// `beta = 1`); the reference arm of the dispatcher still skips exact-zero
-/// activations (post-ReLU) inside its inner loop.
-pub fn fc2_forward(
-    a: &[f32],
-    rows: usize,
-    w2: &[f32],
-    d_out: usize,
-    bias: Option<&[f32]>,
-    set: &NeuronBlockSet,
-    y: &mut [f32],
-) {
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(a.len(), rows * width, "fc2: a is rows×active");
-    assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
-    assert_eq!(y.len(), rows * d_out, "fc2: y is rows×d_out");
-    let be = lx_kernels::backend();
-    par_rows(
-        y,
-        rows,
-        d_out,
-        rows_grain(width.max(1), d_out),
-        |rr, chunk| {
-            let m = rr.len();
-            for local in 0..m {
-                let y_row = &mut chunk[local * d_out..local * d_out + d_out];
-                match bias {
-                    Some(bias) => y_row.copy_from_slice(bias),
-                    None => y_row.fill(0.0),
-                }
-            }
-            for (ai, &blk) in set.active.iter().enumerate() {
-                let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
-                let a_win = &a[rr.start * width + ai * b..];
-                be.gemm(
-                    &Gemm::nn(m, b, d_out, a_win, width, w_blk, d_out).beta(1.0),
-                    chunk,
-                    d_out,
-                );
-            }
-        },
-    );
-}
-
-/// FC2 backward w.r.t. its input: `da[r, blk] = ⟨dy_r, w2_row(neuron)⟩`.
-/// Per block: `dA_blk = dY · W2_blkᵀ`, a strided `nt`-GEMM.
-pub fn fc2_backward_input(
-    dy: &[f32],
-    rows: usize,
-    w2: &[f32],
-    d_out: usize,
-    set: &NeuronBlockSet,
-    da: &mut [f32],
-) {
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(dy.len(), rows * d_out);
-    assert_eq!(da.len(), rows * width);
-    if width == 0 {
-        return;
-    }
-    let be = lx_kernels::backend();
-    par_rows(da, rows, width, rows_grain(width, d_out), |rr, chunk| {
-        let m = rr.len();
-        let dy_win = &dy[rr.start * d_out..rr.end * d_out];
-        for (ai, &blk) in set.active.iter().enumerate() {
-            let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
-            be.gemm(
-                &Gemm::nt(m, d_out, b, dy_win, d_out, w_blk, d_out),
-                &mut chunk[ai * b..],
-                width,
-            );
-        }
-    });
-}
-
-/// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1.col(neuron)`.
-/// Per block: `dX += dZ_blk · W_blk` (strided GEMM, `beta = 1`).
-pub fn fc1_backward_input(
-    dz: &[f32],
-    rows: usize,
-    w1t: &[f32],
-    d_in: usize,
-    set: &NeuronBlockSet,
-    dx: &mut [f32],
-) {
-    debug_assert_eq!(w1t.len(), set.total_neurons() * d_in);
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(dz.len(), rows * width);
-    assert_eq!(dx.len(), rows * d_in);
-    let be = lx_kernels::backend();
-    par_rows(
-        dx,
-        rows,
-        d_in,
-        rows_grain(width.max(1), d_in),
-        |rr, chunk| {
-            let m = rr.len();
-            chunk.fill(0.0);
-            for (ai, &blk) in set.active.iter().enumerate() {
-                let w_blk = &w1t[blk as usize * b * d_in..(blk as usize + 1) * b * d_in];
-                let dz_win = &dz[rr.start * width + ai * b..];
-                be.gemm(
-                    &Gemm::nn(m, b, d_in, dz_win, width, w_blk, d_in).beta(1.0),
-                    chunk,
-                    d_in,
-                );
-            }
-        },
-    );
-}
-
-/// Accumulate FC1 weight gradients for *active columns only*:
-/// `dw1.col(neuron) += Σ_r x_r · dz[r, compact(neuron)]`.
-/// Per block: `dW_blk += dZ_blkᵀ · X`, a strided `tn`-GEMM into the block's
-/// contiguous column slab; active slabs are disjoint, so blocks parallelise.
-pub fn fc1_grad_weights(
-    x: &[f32],
-    dz: &[f32],
-    rows: usize,
-    d_in: usize,
-    set: &NeuronBlockSet,
-    dw1t: &mut [f32],
-    dbias: Option<&mut [f32]>,
-) {
-    debug_assert_eq!(dw1t.len(), set.total_neurons() * d_in);
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(x.len(), rows * d_in);
-    assert_eq!(dz.len(), rows * width);
-    let be = lx_kernels::backend();
-    let spans: Vec<Range<usize>> = (0..set.n_active()).map(|ai| set.slab(ai, d_in)).collect();
-    par_disjoint(dw1t, &spans, 1, |ais, chunk| {
-        let base = spans[ais.start].start;
-        for ai in ais {
-            let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
-            let dz_win = &dz[ai * b..];
-            be.gemm(
-                &Gemm::tn(b, rows, d_in, dz_win, width, x, d_in).beta(1.0),
-                dst,
-                d_in,
-            );
-        }
-    });
-    if let Some(dbias) = dbias {
-        for (ai, &blk) in set.active.iter().enumerate() {
-            for t in 0..b {
-                let neuron = blk as usize * b + t;
-                let mut acc = 0.0;
-                for r in 0..rows {
-                    acc += dz[r * width + ai * b + t];
-                }
-                dbias[neuron] += acc;
-            }
-        }
-    }
-}
-
-/// Accumulate FC2 weight gradients for *active rows only*:
-/// `dw2_row(neuron) += Σ_r a[r, compact(neuron)] · dy_r`.
-/// Per block: `dW2_blk += A_blkᵀ · dY` into the block's contiguous row slab.
-pub fn fc2_grad_weights(
-    a: &[f32],
-    dy: &[f32],
-    rows: usize,
-    d_out: usize,
-    set: &NeuronBlockSet,
-    dw2: &mut [f32],
-) {
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(a.len(), rows * width);
-    assert_eq!(dy.len(), rows * d_out);
-    assert_eq!(dw2.len(), set.total_neurons() * d_out);
-    let be = lx_kernels::backend();
-    let spans: Vec<Range<usize>> = (0..set.n_active()).map(|ai| set.slab(ai, d_out)).collect();
-    par_disjoint(dw2, &spans, 1, |ais, chunk| {
-        let base = spans[ais.start].start;
-        for ai in ais {
-            let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
-            let a_win = &a[ai * b..];
-            be.gemm(
-                &Gemm::tn(b, rows, d_out, a_win, width, dy, d_out).beta(1.0),
-                dst,
-                d_out,
-            );
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_tensor::gemm::gemm;
-    use lx_tensor::rng::randn_vec;
+    use lx_tensor::gemm::{matmul, matmul_nt, matmul_tn};
+    use lx_tensor::ops::add_bias_rows;
 
     const ROWS: usize = 6;
     const D_IN: usize = 10;
@@ -539,14 +263,24 @@ mod tests {
         }
     }
 
-    fn dense_fc1(x: &[f32], w1: &[f32], bias: &[f32]) -> Vec<f32> {
+    /// Naive `x · w1ᵀ + bias` over neuron-major `w1 [H, D_IN]`.
+    fn naive_fc1(x: &Tensor, w1: &Tensor, bias: &Tensor) -> Vec<f32> {
         let mut z = vec![0.0; ROWS * H];
-        gemm(ROWS, D_IN, H, x, w1, &mut z, 0.0);
         for r in 0..ROWS {
-            for c in 0..H {
-                z[r * H + c] += bias[c];
+            for n in 0..H {
+                z[r * H + n] = bias.as_slice()[n]
+                    + (0..D_IN)
+                        .map(|i| x.as_slice()[r * D_IN + i] * w1.as_slice()[n * D_IN + i])
+                        .sum::<f32>();
             }
         }
+        z
+    }
+
+    /// The compact FC1 step: gathered weight and bias rows, one GEMM.
+    fn compact_fc1(set: &NeuronBlockSet, x: &Tensor, w1: &Tensor, bias: &Tensor) -> Tensor {
+        let mut z = matmul_nt(x, &set.gather_rows(w1));
+        add_bias_rows(&mut z, set.gather_rows(bias).as_slice());
         z
     }
 
@@ -569,46 +303,58 @@ mod tests {
     }
 
     #[test]
-    fn col_major_roundtrip() {
-        let w = randn_vec(D_IN * H, 1.0, 1);
-        let cm = ColMajorWeights::from_row_major(&w, D_IN, H);
-        assert_eq!(cm.to_row_major(), w);
-        // col(c)[r] == w[r*H + c]
-        for c in [0, 5, 15] {
-            for r in 0..D_IN {
-                assert_eq!(cm.col(c)[r], w[r * H + c]);
+    fn gather_then_scatter_roundtrips_active_rows() {
+        let w = Tensor::randn(&[H, D_IN], 1.0, 1);
+        let set = NeuronBlockSet::from_indices(vec![1, 3], H / B, B);
+        let g = set.gather_rows(&w);
+        assert_eq!(g.shape(), &[set.active_neurons(), D_IN]);
+        // Row `ai·B + t` of the gather is neuron `active[ai]·B + t`.
+        for (ai, &blk) in set.active.iter().enumerate() {
+            for t in 0..B {
+                assert_eq!(g.row(ai * B + t), w.row(blk as usize * B + t));
             }
         }
+        let mut back = Tensor::zeros(&[H, D_IN]);
+        set.scatter_add_rows(&g, &mut back);
+        for n in 0..H {
+            let active = set.active.contains(&((n / B) as u32));
+            let expect: &[f32] = if active { w.row(n) } else { &[0.0; D_IN] };
+            assert_eq!(back.row(n), expect, "neuron {n}");
+        }
+        // 1-D per-neuron tensors (biases) gather one value per neuron.
+        let bias = Tensor::randn(&[H], 1.0, 2);
+        assert_eq!(
+            set.gather_rows(&bias).as_slice(),
+            [&bias.as_slice()[4..8], &bias.as_slice()[12..16]].concat()
+        );
     }
 
     #[test]
     fn fc1_dense_set_matches_gemm() {
-        let x = randn_vec(ROWS * D_IN, 1.0, 2);
-        let w1 = randn_vec(D_IN * H, 1.0, 3);
-        let bias = randn_vec(H, 0.5, 4);
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 2);
+        let w1 = Tensor::randn(&[H, D_IN], 1.0, 3);
+        let bias = Tensor::randn(&[H], 0.5, 4);
         let set = NeuronBlockSet::all(H / B, B);
-        let mut z = vec![0.0; ROWS * H];
-        fc1_forward(&x, ROWS, cm.raw(), D_IN, Some(&bias), &set, &mut z);
-        assert_close(&z, &dense_fc1(&x, &w1, &bias), 1e-4);
+        assert!(matches!(set.gather_rows(&w1), Cow::Borrowed(_)));
+        let z = compact_fc1(&set, &x, &w1, &bias);
+        assert_close(z.as_slice(), &naive_fc1(&x, &w1, &bias), 1e-4);
     }
 
     #[test]
     fn fc1_sparse_set_selects_columns() {
-        let x = randn_vec(ROWS * D_IN, 1.0, 5);
-        let w1 = randn_vec(D_IN * H, 1.0, 6);
-        let bias = vec![0.0; H];
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 5);
+        let w1 = Tensor::randn(&[H, D_IN], 1.0, 6);
+        let bias = Tensor::randn(&[H], 0.5, 7);
         let set = NeuronBlockSet::from_indices(vec![0, 2], H / B, B);
-        let mut z = vec![0.0; ROWS * set.active_neurons()];
-        fc1_forward(&x, ROWS, cm.raw(), D_IN, Some(&bias), &set, &mut z);
-        let dense = dense_fc1(&x, &w1, &bias);
+        let z = compact_fc1(&set, &x, &w1, &bias);
+        assert_eq!(z.shape(), &[ROWS, set.active_neurons()]);
+        let dense = naive_fc1(&x, &w1, &bias);
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {
                 for t in 0..B {
                     let neuron = blk as usize * B + t;
                     assert!(
-                        (z[r * 8 + ai * B + t] - dense[r * H + neuron]).abs() < 1e-4,
+                        (z.row(r)[ai * B + t] - dense[r * H + neuron]).abs() < 1e-4,
                         "row {r} neuron {neuron}"
                     );
                 }
@@ -618,135 +364,115 @@ mod tests {
 
     #[test]
     fn fc2_dense_set_matches_gemm() {
-        let a = randn_vec(ROWS * H, 1.0, 7);
-        let w2 = randn_vec(H * D_OUT, 1.0, 8);
-        let bias = randn_vec(D_OUT, 0.5, 9);
+        let a = Tensor::randn(&[ROWS, H], 1.0, 7);
+        let w2 = Tensor::randn(&[H, D_OUT], 1.0, 8);
         let set = NeuronBlockSet::all(H / B, B);
-        let mut y = vec![0.0; ROWS * D_OUT];
-        fc2_forward(&a, ROWS, &w2, D_OUT, Some(&bias), &set, &mut y);
+        let y = matmul(&a, &set.gather_rows(&w2));
         let mut expect = vec![0.0; ROWS * D_OUT];
-        gemm(ROWS, H, D_OUT, &a, &w2, &mut expect, 0.0);
         for r in 0..ROWS {
-            for c in 0..D_OUT {
-                expect[r * D_OUT + c] += bias[c];
+            for n in 0..H {
+                for c in 0..D_OUT {
+                    expect[r * D_OUT + c] += a.as_slice()[r * H + n] * w2.as_slice()[n * D_OUT + c];
+                }
             }
         }
-        assert_close(&y, &expect, 1e-4);
+        assert_close(y.as_slice(), &expect, 1e-4);
     }
 
     #[test]
     fn fc2_sparse_equals_dense_with_zeroed_inactive() {
         let set = NeuronBlockSet::from_indices(vec![1, 3], H / B, B);
-        let a_compact = randn_vec(ROWS * set.active_neurons(), 1.0, 10);
-        let w2 = randn_vec(H * D_OUT, 1.0, 11);
-        let mut y = vec![0.0; ROWS * D_OUT];
-        fc2_forward(&a_compact, ROWS, &w2, D_OUT, None, &set, &mut y);
+        let a_compact = Tensor::randn(&[ROWS, set.active_neurons()], 1.0, 10);
+        let w2 = Tensor::randn(&[H, D_OUT], 1.0, 11);
+        let y = matmul(&a_compact, &set.gather_rows(&w2));
         // Expand compact A to full H with zeros in inactive blocks.
-        let mut a_full = vec![0.0; ROWS * H];
+        let mut a_full = Tensor::zeros(&[ROWS, H]);
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {
                 for t in 0..B {
-                    a_full[r * H + blk as usize * B + t] = a_compact[r * 8 + ai * B + t];
+                    a_full.row_mut(r)[blk as usize * B + t] = a_compact.row(r)[ai * B + t];
                 }
             }
         }
-        let mut expect = vec![0.0; ROWS * D_OUT];
-        gemm(ROWS, H, D_OUT, &a_full, &w2, &mut expect, 0.0);
-        assert_close(&y, &expect, 1e-4);
+        let expect = matmul(&a_full, &w2);
+        assert_close(y.as_slice(), expect.as_slice(), 1e-4);
     }
 
     #[test]
     fn backward_input_paths_match_dense() {
         let set = NeuronBlockSet::from_indices(vec![0, 3], H / B, B);
         let width = set.active_neurons();
-        let w1 = randn_vec(D_IN * H, 1.0, 12);
-        let w2 = randn_vec(H * D_OUT, 1.0, 13);
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
-        let dy = randn_vec(ROWS * D_OUT, 1.0, 14);
-        let dz = randn_vec(ROWS * width, 1.0, 15);
+        let w1 = Tensor::randn(&[H, D_IN], 1.0, 12);
+        let w2 = Tensor::randn(&[H, D_OUT], 1.0, 13);
+        let dy = Tensor::randn(&[ROWS, D_OUT], 1.0, 14);
+        let dz = Tensor::randn(&[ROWS, width], 1.0, 15);
 
-        let mut da = vec![0.0; ROWS * width];
-        fc2_backward_input(&dy, ROWS, &w2, D_OUT, &set, &mut da);
-        // Reference: dY · W2ᵀ then gather active columns.
-        let mut da_full = vec![0.0; ROWS * H];
-        for r in 0..ROWS {
-            for n in 0..H {
-                let mut acc = 0.0;
-                for c in 0..D_OUT {
-                    acc += dy[r * D_OUT + c] * w2[n * D_OUT + c];
-                }
-                da_full[r * H + n] = acc;
-            }
-        }
+        // dA = dY · W2ᵀ on the compact rows equals the dense product's
+        // active columns.
+        let da = matmul_nt(&dy, &set.gather_rows(&w2));
+        let da_full = matmul_nt(&dy, &w2);
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {
                 for t in 0..B {
-                    assert!(
-                        (da[r * width + ai * B + t] - da_full[r * H + blk as usize * B + t]).abs()
-                            < 1e-4
-                    );
+                    let (got, want) = (da.row(r)[ai * B + t], da_full.row(r)[blk as usize * B + t]);
+                    assert!((got - want).abs() < 1e-4, "da r={r}: {got} vs {want}");
                 }
             }
         }
 
-        let mut dx = vec![0.0; ROWS * D_IN];
-        fc1_backward_input(&dz, ROWS, cm.raw(), D_IN, &set, &mut dx);
-        // Reference: scatter dz to full width then dZ · W1ᵀ.
-        let mut dz_full = vec![0.0; ROWS * H];
+        // dX = dZ · W1 on the compact rows equals the dense product with dZ
+        // scattered to full width (zeros elsewhere).
+        let dx = matmul(&dz, &set.gather_rows(&w1));
+        let mut dz_full = Tensor::zeros(&[ROWS, H]);
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {
                 for t in 0..B {
-                    dz_full[r * H + blk as usize * B + t] = dz[r * width + ai * B + t];
+                    dz_full.row_mut(r)[blk as usize * B + t] = dz.row(r)[ai * B + t];
                 }
             }
         }
-        let mut expect = vec![0.0; ROWS * D_IN];
-        for r in 0..ROWS {
-            for n in 0..H {
-                let g = dz_full[r * H + n];
-                for i in 0..D_IN {
-                    expect[r * D_IN + i] += g * w1[i * H + n];
-                }
-            }
-        }
-        assert_close(&dx, &expect, 1e-4);
+        let expect = matmul(&dz_full, &w1);
+        assert_close(dx.as_slice(), expect.as_slice(), 1e-4);
     }
 
     #[test]
     fn weight_gradients_touch_only_active_blocks() {
         let set = NeuronBlockSet::from_indices(vec![2], H / B, B);
         let width = set.active_neurons();
-        let x = randn_vec(ROWS * D_IN, 1.0, 16);
-        let dz = randn_vec(ROWS * width, 1.0, 17);
-        let mut dw1 = ColMajorWeights::zeros(D_IN, H);
-        let mut dbias = vec![0.0f32; H];
-        fc1_grad_weights(&x, &dz, ROWS, D_IN, &set, dw1.raw_mut(), Some(&mut dbias));
-        #[allow(clippy::needless_range_loop)]
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 16);
+        let dz = Tensor::randn(&[ROWS, width], 1.0, 17);
+        let mut dw1 = Tensor::zeros(&[H, D_IN]);
+        set.scatter_add_rows(&matmul_tn(&dz, &x), &mut dw1);
         for n in 0..H {
             let in_active = (8..12).contains(&n);
-            let col_nonzero = dw1.col(n).iter().any(|&v| v != 0.0);
-            assert_eq!(col_nonzero, in_active, "neuron {n}");
-            assert_eq!(dbias[n] != 0.0, in_active, "bias {n}");
+            let row_nonzero = dw1.row(n).iter().any(|&v| v != 0.0);
+            assert_eq!(row_nonzero, in_active, "neuron {n}");
         }
         // Check one value against the naive sum.
         let n = 9;
         let t = n - 8;
         let mut expect = vec![0.0; D_IN];
         for r in 0..ROWS {
-            let g = dz[r * width + t];
-            for i in 0..D_IN {
-                expect[i] += g * x[r * D_IN + i];
+            let g = dz.row(r)[t];
+            for (i, e) in expect.iter_mut().enumerate() {
+                *e += g * x.row(r)[i];
             }
         }
-        assert_close(dw1.col(n), &expect, 1e-4);
+        assert_close(dw1.row(n), &expect, 1e-4);
+        // A second scatter accumulates on top.
+        let before = dw1.row(n).to_vec();
+        set.scatter_add_rows(&matmul_tn(&dz, &x), &mut dw1);
+        for (a, b) in dw1.row(n).iter().zip(&before) {
+            assert_eq!(*a, b + b);
+        }
 
-        let dy = randn_vec(ROWS * D_OUT, 1.0, 18);
-        let a = randn_vec(ROWS * width, 1.0, 19);
-        let mut dw2 = vec![0.0; H * D_OUT];
-        fc2_grad_weights(&a, &dy, ROWS, D_OUT, &set, &mut dw2);
+        let dy = Tensor::randn(&[ROWS, D_OUT], 1.0, 18);
+        let a = Tensor::randn(&[ROWS, width], 1.0, 19);
+        let mut dw2 = Tensor::zeros(&[H, D_OUT]);
+        set.scatter_add_rows(&matmul_tn(&a, &dy), &mut dw2);
         for n in 0..H {
             let in_active = (8..12).contains(&n);
-            let row_nonzero = dw2[n * D_OUT..(n + 1) * D_OUT].iter().any(|&v| v != 0.0);
+            let row_nonzero = dw2.row(n).iter().any(|&v| v != 0.0);
             assert_eq!(row_nonzero, in_active, "w2 row {n}");
         }
     }
@@ -780,26 +506,24 @@ mod tests {
 
     #[test]
     fn empty_active_set_is_harmless() {
+        // An empty plan gives zero-width compact operands: FC1 produces a
+        // `[rows, 0]` activation, FC2 reduces over an empty K and leaves
+        // just its bias, and the gradient scatter touches nothing.
         let set = NeuronBlockSet::from_indices(vec![], H / B, B);
-        let x = randn_vec(ROWS * D_IN, 1.0, 22);
-        let mut z: Vec<f32> = vec![];
-        fc1_forward(&x, ROWS, &vec![0.0; H * D_IN], D_IN, None, &set, &mut z);
-        let bias = randn_vec(D_OUT, 1.0, 23);
-        let mut y = vec![0.0; ROWS * D_OUT];
-        fc2_forward(
-            &[],
-            ROWS,
-            &vec![0.0; H * D_OUT],
-            D_OUT,
-            Some(&bias),
-            &set,
-            &mut y,
-        );
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 22);
+        let w1 = Tensor::randn(&[H, D_IN], 1.0, 23);
+        let w2 = Tensor::randn(&[H, D_OUT], 1.0, 24);
+        let z = matmul_nt(&x, &set.gather_rows(&w1));
+        assert_eq!(z.shape(), &[ROWS, 0]);
+        assert_eq!(z.rows(), ROWS);
+        let bias = Tensor::randn(&[D_OUT], 1.0, 25);
+        let mut y = matmul(&z, &set.gather_rows(&w2));
+        add_bias_rows(&mut y, bias.as_slice());
         for r in 0..ROWS {
-            assert_close(&y[r * D_OUT..(r + 1) * D_OUT], &bias, 1e-6);
+            assert_close(y.row(r), bias.as_slice(), 1e-6);
         }
-        let mut dw1 = vec![0.0; H * D_IN];
-        fc1_grad_weights(&x, &[], ROWS, D_IN, &set, &mut dw1, None);
-        assert!(dw1.iter().all(|&v| v == 0.0));
+        let mut dw1 = Tensor::zeros(&[H, D_IN]);
+        set.scatter_add_rows(&matmul_tn(&z, &x), &mut dw1);
+        assert!(dw1.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -110,10 +110,9 @@ impl Tensor {
 
     /// Number of rows when viewed as 2-D (product of all but the last dim).
     pub fn rows(&self) -> usize {
-        if self.shape.is_empty() {
-            0
-        } else {
-            self.len() / self.cols()
+        match self.shape.split_last() {
+            Some((_, lead)) => lead.iter().product(),
+            None => 0,
         }
     }
 
@@ -278,6 +277,18 @@ mod tests {
         assert_eq!(t.cols(), 4);
         assert_eq!(t.len(), 12);
         assert!(t.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn zero_width_tensor_keeps_its_rows() {
+        // An empty neuron plan yields `[rows, 0]` activations; the row count
+        // comes from the shape, not from `len / cols`. (Every tensor here is
+        // empty, so the process-global memtrack counters never move.)
+        let t = Tensor::zeros(&[5, 0]);
+        assert_eq!((t.rows(), t.cols(), t.len()), (5, 0, 0));
+        assert_eq!(Tensor::zeros(&[2, 3, 0]).rows(), 6);
+        assert_eq!(Tensor::zeros(&[0, 4]).rows(), 0);
+        assert_eq!(Tensor::zeros(&[0]).rows(), 1, "a 1-D tensor is one row");
     }
 
     #[test]

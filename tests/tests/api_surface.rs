@@ -20,6 +20,7 @@ const CRATES: &[(&str, &str)] = &[
     ("lx-obs", "crates/obs/src"),
     ("lx-quant", "crates/quant/src"),
     ("lx-kernels", "crates/kernels/src"),
+    ("lx-sparse", "crates/sparse/src"),
     ("lx-tensor", "crates/tensor/src"),
     ("lx-model", "crates/model/src"),
     ("lx-core", "crates/core/src"),

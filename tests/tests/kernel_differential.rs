@@ -10,9 +10,10 @@
 use lx_kernels::{BOperand, Epilogue, Gemm, KernelBackend, MR, NR, PACKED, REFERENCE};
 use lx_model::mha::MultiHeadAttention;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
-use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
+use lx_sparse::neuron::NeuronBlockSet;
 use lx_sparse::patterns::PatternSpec;
 use lx_sparse::{BlockCsr, BlockMask, MultiHeadLayout};
+use lx_tensor::gemm::{matmul, matmul_nt};
 use lx_tensor::rng::randn_vec;
 use lx_tensor::Tensor;
 use std::cell::RefCell;
@@ -1203,26 +1204,25 @@ fn sparse_attention_pipeline_matches_dense_oracle() {
     assert_close("dsd_tn", &out_t, &expect_t);
 }
 
-/// The neuron-sparse MLP forward path against an explicit gather/scatter
-/// oracle at a width that exercises multi-panel packing.
+/// The neuron-sparse MLP forward path — active slabs gathered, then dense
+/// GEMMs on the compact operands — against an explicit per-neuron oracle at
+/// a width that exercises multi-panel packing.
 #[test]
 fn neuron_mlp_matches_oracle_at_packing_widths() {
     let (rows, d_in, h, block) = (33, 48, 8 * NR, NR);
     let set = NeuronBlockSet::from_indices(vec![0, 2, 3, 7], h / block, block);
     let width = set.active_neurons();
-    let x = randn_vec(rows * d_in, 1.0, 41);
-    let w1 = randn_vec(d_in * h, 0.2, 42);
-    let cm = ColMajorWeights::from_row_major(&w1, d_in, h);
-    let mut z = vec![0.0; rows * width];
-    fc1_forward(&x, rows, cm.raw(), d_in, None, &set, &mut z);
+    let x = Tensor::randn(&[rows, d_in], 1.0, 41);
+    // Neuron-major FC1 `[h, d_in]`, as the model stores it.
+    let w1 = Tensor::randn(&[h, d_in], 0.2, 42);
+    let z = matmul_nt(&x, &set.gather_rows(&w1));
+    assert_eq!(z.shape(), &[rows, width]);
     for r in 0..rows {
         for (ai, &blk) in set.active.iter().enumerate() {
             for t in 0..block {
                 let neuron = blk as usize * block + t;
-                let expect: f32 = (0..d_in)
-                    .map(|i| x[r * d_in + i] * w1[i * h + neuron])
-                    .sum();
-                let got = z[r * width + ai * block + t];
+                let expect: f32 = (0..d_in).map(|i| x.row(r)[i] * w1.row(neuron)[i]).sum();
+                let got = z.row(r)[ai * block + t];
                 assert!(
                     (got - expect).abs() <= TOL * (1.0 + expect.abs()),
                     "fc1 r={r} neuron={neuron}: {got} vs {expect}"
@@ -1231,20 +1231,19 @@ fn neuron_mlp_matches_oracle_at_packing_widths() {
         }
     }
     let d_out = 29;
-    let w2 = randn_vec(h * d_out, 0.2, 43);
-    let mut y = vec![0.0; rows * d_out];
-    fc2_forward(&z, rows, &w2, d_out, None, &set, &mut y);
+    let w2 = Tensor::randn(&[h, d_out], 0.2, 43);
+    let y = matmul(&z, &set.gather_rows(&w2));
     let mut expect = vec![0.0; rows * d_out];
     for r in 0..rows {
         for (ai, &blk) in set.active.iter().enumerate() {
             for t in 0..block {
                 let neuron = blk as usize * block + t;
-                let av = z[r * width + ai * block + t];
+                let av = z.row(r)[ai * block + t];
                 for c in 0..d_out {
-                    expect[r * d_out + c] += av * w2[neuron * d_out + c];
+                    expect[r * d_out + c] += av * w2.row(neuron)[c];
                 }
             }
         }
     }
-    assert_close("fc2", &y, &expect);
+    assert_close("fc2", y.as_slice(), &expect);
 }

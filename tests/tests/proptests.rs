@@ -9,10 +9,12 @@
 use lx_sparse::attention::{
     block_data_to_dense, block_row_softmax, dense_to_block_data, dsd, dsd_tn, sdd_nt, CausalFill,
 };
-use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet, PatternSpec};
 use lx_tensor::f16::round_f16;
+use lx_tensor::gemm::{matmul, matmul_nt};
+use lx_tensor::ops::relu_inplace;
 use lx_tensor::rng::randn_vec;
+use lx_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,35 +185,25 @@ fn neuron_kernels_match_masked_dense() {
             mask[0] = true;
         }
         let set = NeuronBlockSet::from_mask(&mask, block);
-        let x = randn_vec(rows * d, 1.0, seed);
-        let w1t = randn_vec(d_ff * d, 0.5, seed + 1);
-        let w2 = randn_vec(d_ff * d, 0.5, seed + 2);
-        // Sparse path.
-        let width = set.active_neurons();
-        let mut z = vec![0.0f32; rows * width];
-        fc1_forward(&x, rows, &w1t, d, None, &set, &mut z);
-        for v in z.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        let mut y = vec![0.0f32; rows * d];
-        fc2_forward(&z, rows, &w2, d, None, &set, &mut y);
+        let x = Tensor::randn(&[rows, d], 1.0, seed);
+        let w1 = Tensor::randn(&[d_ff, d], 0.5, seed + 1);
+        let w2 = Tensor::randn(&[d_ff, d], 0.5, seed + 2);
+        // Sparse path: the active slabs gathered, then the dense GEMMs.
+        let mut z = matmul_nt(&x, &set.gather_rows(&w1));
+        relu_inplace(z.as_mut_slice());
+        let y = matmul(&z, &set.gather_rows(&w2));
         // Dense reference with inactive neurons zeroed.
-        let all = NeuronBlockSet::all(n_blk, block);
-        let mut zf = vec![0.0f32; rows * d_ff];
-        fc1_forward(&x, rows, &w1t, d, None, &all, &mut zf);
+        let mut zf = matmul_nt(&x, &w1);
         for r in 0..rows {
             for nrn in 0..d_ff {
                 let blk = nrn / block;
-                if !mask[blk] || zf[r * d_ff + nrn] < 0.0 {
-                    zf[r * d_ff + nrn] = 0.0;
+                if !mask[blk] || zf.row(r)[nrn] < 0.0 {
+                    zf.row_mut(r)[nrn] = 0.0;
                 }
             }
         }
-        let mut yf = vec![0.0f32; rows * d];
-        fc2_forward(&zf, rows, &w2, d, None, &all, &mut yf);
-        for (a, b) in y.iter().zip(&yf) {
+        let yf = matmul(&zf, &w2);
+        for (a, b) in y.as_slice().iter().zip(yf.as_slice()) {
             assert!(
                 (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
                 "seed {seed}: {a} vs {b}"

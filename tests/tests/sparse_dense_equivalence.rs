@@ -170,3 +170,96 @@ fn partial_attention_pattern_changes_output() {
         .sum();
     assert!(diff > 1e-3, "narrow window should alter outputs");
 }
+
+/// Logits and every trainable gradient of one `Grad` step, as raw bits.
+fn grad_step_bits(
+    m: &mut lx_model::TransformerModel,
+    plan: Option<&SparsePlan>,
+) -> (Vec<u32>, Vec<(String, Vec<u32>)>) {
+    let cfg = m.config.clone();
+    let ids = batch_ids(BATCH, SEQ, cfg.vocab_size, 17);
+    let targets = prompt_aware_targets(&ids, BATCH, SEQ, 0);
+    let req = StepRequest::grad(&ids, &targets, BATCH, SEQ).keep_logits();
+    let out = m.execute(match plan {
+        Some(plan) => req.plan(plan),
+        None => req,
+    });
+    let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let logits = bits(out.logits.expect("logits kept").as_slice());
+    let mut grads = Vec::new();
+    m.for_each_param(&mut |p| {
+        if p.trainable {
+            let g = p.grad.as_ref().map(|g| bits(g.as_slice()));
+            grads.push((p.name.clone(), g.unwrap_or_default()));
+        }
+    });
+    (logits, grads)
+}
+
+/// The exactness oracle of the one MLP code path: a plan whose MLP keeps
+/// every neuron block (attention dense) runs the dense step's GEMMs on a
+/// full-width slab gather, so logits and every gradient are the dense
+/// step's bits — on every backbone storage, for LoRA on both MLP linears,
+/// and for BitFit and full fine-tuning on f32. The MLP is wide enough
+/// (`32 × 64 × 256` products) for the dispatcher to route its GEMMs to the
+/// packed backend, whose register-blocked accumulation would expose any
+/// split of the reduction the sparse path made.
+#[test]
+fn all_block_mlp_plan_is_bit_identical_to_dense() {
+    use lx_model::Precision;
+    let lora_mlp = PeftMethod::Lora {
+        rank: 2,
+        alpha: 4.0,
+        targets: lx_peft::LoraTargets::all(),
+    };
+    let mut cases = vec![
+        (PeftMethod::BitFit, Precision::F32),
+        (PeftMethod::Full, Precision::F32),
+    ];
+    for precision in [
+        Precision::F32,
+        Precision::F16Frozen,
+        Precision::Int8Frozen,
+        Precision::Nf4Frozen,
+        Precision::Nm24Frozen,
+    ] {
+        cases.push((lora_mlp, precision));
+    }
+    for (method, precision) in cases {
+        let build = || {
+            let cfg = lx_model::ModelConfig {
+                d_model: 64,
+                n_heads: 4,
+                d_ff: 256,
+                ..lx_integration::tiny_cfg()
+            };
+            let mut m = lx_model::TransformerModel::new(cfg, 21);
+            m.induce_activation_sparsity(0.9, 0.3, 4, 22);
+            method.apply(&mut m, 22);
+            m.set_precision(precision);
+            // Non-zero LoRA B halves, so the A gradients carry signal.
+            m.for_each_param(&mut |p| {
+                if p.name.contains("lora_b") {
+                    let v = lx_tensor::rng::randn_vec(p.value.len(), 0.3, 23);
+                    p.value.as_mut_slice().copy_from_slice(&v);
+                }
+            });
+            m
+        };
+        let (mut dense, mut sparse) = (build(), build());
+        let cfg = dense.config.clone();
+        let mut plan = SparsePlan::dense(cfg.n_layers);
+        for layer in plan.layers.iter_mut() {
+            layer.mlp = Some(Arc::new(NeuronBlockSet::all(cfg.d_ff / BLOCK, BLOCK)));
+        }
+        let (logits_d, grads_d) = grad_step_bits(&mut dense, None);
+        let (logits_s, grads_s) = grad_step_bits(&mut sparse, Some(&plan));
+        let what = format!("{method:?} on {precision}");
+        assert!(logits_d == logits_s, "{what}: logits differ");
+        assert!(!grads_d.is_empty(), "{what}: nothing trainable");
+        for ((name, gd), (_, gs)) in grads_d.iter().zip(&grads_s) {
+            assert!(gd == gs, "{what}: gradient of {name} differs");
+        }
+        assert_eq!(grads_d.len(), grads_s.len());
+    }
+}
